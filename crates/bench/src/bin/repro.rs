@@ -1596,15 +1596,21 @@ fn smoke() {
         failed = true;
     }
 
-    // Telemetry snapshot of the whole smoke run — every counter, span
-    // and histogram the instrumented stack recorded — written for the
-    // CI artifact even when a gate failed (it is the evidence).
+    // Telemetry snapshot of the whole smoke run, written even when a gate
+    // failed (it is the evidence): the aggregates — every counter, gauge
+    // and histogram, span times included as `span.<name>.ns` — to the
+    // committed TELEMETRY_smoke.json, and the raw span records to
+    // TELEMETRY_smoke.spans.json (a CI artifact, not committed).
     let snap = chef_telemetry::snapshot();
     let tdoc = chef_core::report::telemetry_to_json(&snap);
     std::fs::write("TELEMETRY_smoke.json", tdoc.to_string_pretty())
         .or_fail("cannot write TELEMETRY_smoke.json");
+    let sdoc = chef_core::report::spans_to_json(&snap);
+    std::fs::write("TELEMETRY_smoke.spans.json", sdoc.to_string_pretty())
+        .or_fail("cannot write TELEMETRY_smoke.spans.json");
     println!(
-        "telemetry: {} counters, {} histograms, {} spans ({} dropped) -> TELEMETRY_smoke.json",
+        "telemetry: {} counters, {} histograms -> TELEMETRY_smoke.json; \
+         {} spans ({} dropped) -> TELEMETRY_smoke.spans.json",
         snap.counters.len(),
         snap.histograms.len(),
         snap.spans.len(),

@@ -267,11 +267,13 @@ impl Record for EstimateQualityRow {
     }
 }
 
-/// Encodes a [`chef_telemetry::TelemetrySnapshot`] as JSON: counters and
-/// gauges as name→value objects, histograms as name→summary objects,
-/// spans as an array of records (`parent` is `null` for roots). Metric
-/// names are dynamic (registered at runtime), so this builds
-/// [`Json::Obj`] maps directly instead of going through [`Record`].
+/// Encodes the aggregates of a [`chef_telemetry::TelemetrySnapshot`] as
+/// JSON: counters and gauges as name→value objects, histograms as
+/// name→summary objects (the `span.<name>.ns` histograms carry the
+/// per-layer times), and `spans_dropped`. The raw span records are
+/// [`spans_to_json`]'s. Metric names are dynamic (registered at
+/// runtime), so this builds [`Json::Obj`] maps directly instead of going
+/// through [`Record`].
 pub fn telemetry_to_json(snap: &chef_telemetry::TelemetrySnapshot) -> Json {
     use std::collections::BTreeMap;
     let counters: BTreeMap<String, Json> = snap
@@ -300,30 +302,35 @@ pub fn telemetry_to_json(snap: &chef_telemetry::TelemetrySnapshot) -> Json {
             (h.name.clone(), summary)
         })
         .collect();
-    let spans: Vec<Json> = snap
-        .spans
-        .iter()
-        .map(|s| {
-            Json::obj([
-                ("name", Json::str(s.name)),
-                ("id", Json::Num(s.id as f64)),
-                (
-                    "parent",
-                    s.parent.map_or(Json::Null, |p| Json::Num(p as f64)),
-                ),
-                ("thread", Json::Num(s.thread as f64)),
-                ("start_ns", Json::Num(s.start_ns as f64)),
-                ("end_ns", Json::Num(s.end_ns as f64)),
-            ])
-        })
-        .collect();
     Json::obj([
         ("counters", Json::Obj(counters)),
         ("gauges", Json::Obj(gauges)),
         ("histograms", Json::Obj(histograms)),
-        ("spans", Json::Arr(spans)),
         ("spans_dropped", Json::Num(snap.spans_dropped as f64)),
     ])
+}
+
+/// Encodes the raw span records of a snapshot as a JSON array (`parent`
+/// is `null` for roots).
+pub fn spans_to_json(snap: &chef_telemetry::TelemetrySnapshot) -> Json {
+    Json::Arr(
+        snap.spans
+            .iter()
+            .map(|s| {
+                Json::obj([
+                    ("name", Json::str(s.name)),
+                    ("id", Json::Num(s.id as f64)),
+                    (
+                        "parent",
+                        s.parent.map_or(Json::Null, |p| Json::Num(p as f64)),
+                    ),
+                    ("thread", Json::Num(s.thread as f64)),
+                    ("start_ns", Json::Num(s.start_ns as f64)),
+                    ("end_ns", Json::Num(s.end_ns as f64)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Writes any record as pretty JSON.

@@ -368,7 +368,7 @@ pub struct CompiledFunction {
     /// variable home; there are no array temporaries).
     pub avar_names: Vec<(u32, String)>,
     /// The packed `u64` word stream + constant pool produced by
-    /// [`crate::pack`] — the form the dispatch loops execute. Always
+    /// [`crate::pack`] — the form the dispatch loop executes. Always
     /// present on [`crate::compile::compile`] output; a hand-built function
     /// may leave it `None` and is then packed when it enters a machine.
     /// When present it is word-for-word equivalent to `instrs`;

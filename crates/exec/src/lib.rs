@@ -76,9 +76,12 @@
 //!    branching kernels.
 //! 3. **Packed-word dispatch** ([`pack`]): the fused stream is flattened
 //!    1:1 into fixed-width `u64` words with a per-function constant pool,
-//!    and the VM and shadow interpreters dispatch the words through a
-//!    dense-opcode jump table — one dispatch loop per engine, the only
-//!    executable form. See *Packed word format* below.
+//!    the only executable form. One dispatch loop runs the words through
+//!    a dense-opcode jump table for both engines: it is generic over the
+//!    shadow number type, the shadow interpreter runs it with `f64` or a
+//!    double-double lane, and the plain VM runs it with a zero-sized lane
+//!    whose instantiation compiles every shadow statement away. See
+//!    *Packed word format* below.
 //! 4. **Reusable machines** ([`vm::Machine`]): register files, array
 //!    slots and the [`Tape`]'s buffers persist across calls —
 //!    [`vm::Machine::reset`] re-sizes without re-allocating, and
@@ -124,8 +127,8 @@
 //! [`vm::ExecOptions::deadline`] wall-clock bound, malformed bytecode,
 //! and the opt-in [`vm::TrapKind::NonFinite`].
 //!
-//! Deadlines are **cooperative**, never preemptive: both dispatch
-//! loops check the clock at taken backward jumps (the only place a
+//! Deadlines are **cooperative**, never preemptive: the dispatch loop
+//! checks the clock at taken backward jumps (the only place a
 //! run can spend unbounded time), and only once per
 //! [`vm::DEADLINE_STRIDE`] executed instructions, so the disarmed path
 //! costs one always-false register compare per loop iteration and the
@@ -137,8 +140,8 @@
 //!
 //! The opt-in [`vm::TrapKind::NonFinite`], enabled by
 //! [`vm::ExecOptions::trap_on_nonfinite`], checks every float write in
-//! both dispatch loops (plus demoted-parameter entry rounding and the
-//! rounded return) and traps at the *first* NaN/±Inf with the pc, the
+//! both lanes of the dispatch loop (plus demoted-parameter entry
+//! rounding and the rounded return) and traps at the *first* NaN/±Inf with the pc, the
 //! producing opcode, and the written variable's name — the
 //! Herbgrind-style "where did it first go wrong" signal for a demoted
 //! config that overflows.
@@ -177,8 +180,8 @@
 //!   `exec.run` span nested per argument set. Spans land in bounded
 //!   per-thread rings and each close records into a `span.<name>.ns`
 //!   histogram; exporting is `chef_telemetry::snapshot()`.
-//! * **Per-pc profiler**: [`vm::ExecOptions::profile`] makes both
-//!   dispatch loops (VM and shadow) count executions
+//! * **Per-pc profiler**: [`vm::ExecOptions::profile`] makes the
+//!   dispatch loop count executions (in both lanes, plain and shadow)
 //!   per `pc` into [`vm::ExecProfile`], returned on
 //!   [`vm::CallOutcome::profile`] / `ShadowOutcome::profile`. On a
 //!   successful run the counts sum to exactly
@@ -197,7 +200,7 @@
 //!
 //! ```text
 //! bits  0..8    opcode   dense u8 (see [`pack::op`]) — drives a
-//!               jump-table `match` in the dispatch loops
+//!               jump-table `match` in the dispatch loop
 //! bits  8..24   A        u16: destination register / array slot
 //! bits 24..40   B        u16: source register, pool index, or i16 imm
 //! bits 40..56   C        u16: source register, jump target, or i16 imm
@@ -212,7 +215,7 @@
 //! immediates are encoded inline.
 //!
 //! **Packing is total** on compiler output, and there is no enum
-//! fallback: the words are the only form either dispatch loop executes.
+//! fallback: the words are the only form the dispatch loop executes.
 //! [`fuse`] forms `FLoadOff`/`FStoreOff` only for offsets that fit `i8`
 //! and `FMulAdd` only for an addend register that fits the 8-bit field,
 //! and the pool never outgrows the instruction count, so the one limit
@@ -225,8 +228,9 @@
 //! Packing is 1:1 and order-preserving (word `k` encodes instruction
 //! `k`; `pc`, spans and jump targets are shared), and
 //! [`vm::validate_function`] re-decodes every word against the enum
-//! stream before execution, which is what makes the dispatch loops'
-//! unchecked register/pool accesses sound. The enum [`bytecode::Instr`]
+//! stream before execution, which is what makes the dispatch loop's
+//! unchecked register/pool accesses sound (in the shadow lane too: its
+//! register files are sized to the same validated counts). The enum [`bytecode::Instr`]
 //! stream stays as the compiler's IR and as that reference.
 //!
 //! ## Persistent variant cache

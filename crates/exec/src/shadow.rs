@@ -3,7 +3,8 @@
 //!
 //! The primal stream executes exactly like [`crate::vm`] — same
 //! arithmetic, same rounding instructions, same traps, bit-identical
-//! results — while every float register, float array slot and float tape
+//! results, because it is the same loop (see *One loop, two lanes*
+//! below) — while every float register, float array slot and float tape
 //! entry carries a second value of type `S:`[`ShadowNum`] computed with
 //! **unrounded semantics**: `FRound`/`F*Round` are identity on the
 //! shadow, demoted parameters bind their original unrounded inputs, and
@@ -47,7 +48,22 @@
 //! the shadow files alongside in [`ShadowMachine`], which is reusable
 //! call-to-call exactly like `Machine`. Batches fan out over scoped
 //! threads through [`crate::par::parallel_map_init`] (one shadow machine
-//! per worker), mirroring [`crate::vm::run_batch_parallel`].
+//! per worker), like [`crate::vm::run_batch_parallel`].
+//!
+//! ## One loop, two lanes
+//!
+//! This module holds the engine's only dispatch loop, generic over the
+//! shadow number type `S` and over `<const PROFILE: bool>`. Every
+//! shadow statement in it sits behind `if S::SHADOW`
+//! ([`ShadowNum::SHADOW`]); the plain VM ([`Machine`]) runs the loop over
+//! a crate-private zero-sized type whose `SHADOW` is `false`, so its
+//! instantiation holds the primal statements alone. Both lanes share
+//! the hot-path form: unchecked register access (sound by
+//! [`crate::vm::validate_function`], with the shadow files sized to the
+//! same register counts), block-granular instruction accounting, and the
+//! budget and deadline checkpoints at taken backward jumps and returns.
+//! Shadow statements read primal state and never write it, which the
+//! plain-vs-shadow bit-identity tests pin.
 
 use crate::bytecode::*;
 use crate::intrinsics::{eval1, eval2, ApproxConfig};
@@ -55,7 +71,8 @@ use crate::pack::PackedCode;
 use crate::precision::round_to;
 use crate::value::{ArgValue, Value};
 use crate::vm::{
-    entry_code, fcmp, icmp, ArraySlot, ExecOptions, ExecStats, Machine, Trap, TrapKind,
+    deadline_probe, entry_code, fcmp, icmp, nonfinite_trap, ArraySlot, ExecOptions, ExecStats,
+    Machine, Trap, TrapKind, DEADLINE_STRIDE,
 };
 use chef_ir::ast::Intrinsic;
 use chef_ir::span::Span;
@@ -66,6 +83,10 @@ use chef_ir::span::Span;
 /// mixed-precision configurations) and by `chef-shadow`'s double-double
 /// `DD` (quasi-exact shadow — the oracle for `f64` programs themselves).
 pub trait ShadowNum: Copy + Send + Sync + 'static {
+    /// Whether this type carries a shadow stream. `false` only for the
+    /// crate's zero-sized plain-VM lane, whose instantiation of the
+    /// dispatch loop compiles every shadow statement away.
+    const SHADOW: bool = true;
     /// Injects an exact `f64`.
     fn from_f64(x: f64) -> Self;
     /// Rounds back to `f64`.
@@ -135,6 +156,38 @@ impl ShadowNum for f64 {
     #[inline(always)]
     fn neg(a: Self) -> Self {
         -a
+    }
+}
+
+/// The plain VM's lane: no shadow stream. [`crate::vm::Machine`] runs the
+/// dispatch loop over this zero-sized type, and since every shadow
+/// statement there sits behind `if S::SHADOW`, none of these methods is
+/// ever called.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PrimalOnly;
+
+impl ShadowNum for PrimalOnly {
+    const SHADOW: bool = false;
+    fn from_f64(_: f64) -> Self {
+        PrimalOnly
+    }
+    fn to_f64(self) -> f64 {
+        0.0
+    }
+    fn add(_: Self, _: Self) -> Self {
+        PrimalOnly
+    }
+    fn sub(_: Self, _: Self) -> Self {
+        PrimalOnly
+    }
+    fn mul(_: Self, _: Self) -> Self {
+        PrimalOnly
+    }
+    fn div(_: Self, _: Self) -> Self {
+        PrimalOnly
+    }
+    fn neg(_: Self) -> Self {
+        PrimalOnly
     }
 }
 
@@ -285,16 +338,23 @@ impl ShadowOutcome {
 
 /// A reusable fused primal+shadow activation: wraps a [`Machine`] (whose
 /// register files, array slots and tape serve the primal stream
-/// unchanged) and keeps the shadow register file, shadow arrays, shadow
-/// tape and the attribution state alongside. Reusable across calls like
-/// `Machine` — buffers keep their capacity.
+/// unchanged) and keeps the shadow lane — shadow register file, shadow
+/// arrays, shadow tape and the attribution state — alongside. Reusable
+/// across calls like `Machine` — buffers keep their capacity.
 pub struct ShadowMachine<S: ShadowNum> {
     m: Machine,
-    /// Shadow float registers, parallel to `m.f`.
+    lane: Lane<S>,
+}
+
+/// The shadow side of one activation, threaded through [`exec_loop`]
+/// next to the primal [`Machine`]. The plain VM passes an empty
+/// `Lane<PrimalOnly>` that the loop never touches.
+pub(crate) struct Lane<S> {
+    /// Shadow float registers, parallel to `Machine::f`.
     sf: Vec<S>,
     /// Pending (not yet committed) absolute local error per float register.
     pend: Vec<f64>,
-    /// Shadow float arrays, parallel to `m.a` (empty for int arrays).
+    /// Shadow float arrays, parallel to `Machine::a` (empty for int arrays).
     sa: Vec<Vec<S>>,
     /// Shadow mirror of the float entries of the tape.
     stape: Vec<S>,
@@ -311,19 +371,18 @@ pub struct ShadowMachine<S: ShadowNum> {
     divs: Vec<DivergencePoint>,
     /// Total splits observed (uncapped).
     div_count: u64,
+    /// Sum of the finite local-error samples ([`ShadowOutcome::acc_error`]).
+    acc: f64,
+    /// Non-finite samples ([`ShadowOutcome::nonfinite_samples`]).
+    nonfinite: u64,
+    /// Shadow return rounded to `f64` and `|shadow − primal|` of a float
+    /// return.
+    ret: Option<(f64, f64)>,
 }
 
-impl<S: ShadowNum> Default for ShadowMachine<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<S: ShadowNum> ShadowMachine<S> {
-    /// An empty shadow machine; buffers grow on first use and persist.
-    pub fn new() -> Self {
-        ShadowMachine {
-            m: Machine::new(),
+impl<S: ShadowNum> Lane<S> {
+    pub(crate) const fn new() -> Self {
+        Lane {
             sf: Vec::new(),
             pend: Vec::new(),
             sa: Vec::new(),
@@ -336,32 +395,36 @@ impl<S: ShadowNum> ShadowMachine<S> {
             var_div: Vec::new(),
             divs: Vec::new(),
             div_count: 0,
+            acc: 0.0,
+            nonfinite: 0,
+            ret: None,
         }
     }
 
-    fn reset(&mut self, func: &CompiledFunction, opts: &ExecOptions) {
-        self.m.reset(func, opts);
+    /// Sizes the shadow files to `func`'s register counts — the counts
+    /// [`crate::vm::validate_function`] checked, which is what makes the
+    /// loop's unchecked shadow accesses sound — and rebuilds the
+    /// attribution tables.
+    fn reset(&mut self, func: &CompiledFunction) {
         let nf = func.n_fregs as usize;
+        let na = func.n_aregs as usize;
         self.sf.clear();
         self.sf.resize(nf, S::from_f64(0.0));
         self.pend.clear();
         self.pend.resize(nf, 0.0);
-        self.sa.truncate(func.n_aregs as usize);
+        self.sa.truncate(na);
         for arr in &mut self.sa {
             arr.clear();
         }
-        while self.sa.len() < func.n_aregs as usize {
-            self.sa.push(Vec::new());
-        }
+        self.sa.resize_with(na, Vec::new);
         self.stape.clear();
         self.samples.clear();
         self.samples.resize(func.instrs.len(), PcSample::default());
-        // Attribution tables.
         self.var_names.clear();
         self.fvar_of.clear();
         self.fvar_of.resize(nf, 0);
         self.avar_of.clear();
-        self.avar_of.resize(func.n_aregs as usize, 0);
+        self.avar_of.resize(na, 0);
         for &(reg, ref name) in &func.fvar_names {
             self.var_names.push(name.clone());
             if let Some(slot) = self.fvar_of.get_mut(reg as usize) {
@@ -380,6 +443,42 @@ impl<S: ShadowNum> ShadowMachine<S> {
         self.var_div.resize(self.var_names.len(), 0);
         self.divs.clear();
         self.div_count = 0;
+        self.acc = 0.0;
+        self.nonfinite = 0;
+        self.ret = None;
+    }
+
+    /// Charges one entry-rounding error of a demoted parameter to
+    /// variable slot `var` (0 = unnamed) and to the accumulated error.
+    fn charge_entry(&mut self, err: f64, var: u32) {
+        if err > 0.0 {
+            if err.is_finite() {
+                self.acc += err;
+                if var != 0 {
+                    self.var_err[(var - 1) as usize] += err;
+                }
+            } else {
+                self.nonfinite += 1;
+            }
+        } else if err.is_nan() {
+            self.nonfinite += 1;
+        }
+    }
+}
+
+impl<S: ShadowNum> Default for ShadowMachine<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S: ShadowNum> ShadowMachine<S> {
+    /// An empty shadow machine; buffers grow on first use and persist.
+    pub fn new() -> Self {
+        ShadowMachine {
+            m: Machine::new(),
+            lane: Lane::new(),
+        }
     }
 
     /// Runs `func` on `args` under `opts`, producing the fused outcome.
@@ -407,7 +506,8 @@ impl<S: ShadowNum> ShadowMachine<S> {
         // plain and shadow trials.
         let (fault_opts, inject_nan) = crate::vm::drawn_fault(func, opts);
         let opts = fault_opts.as_ref().unwrap_or(opts);
-        self.reset(func, opts);
+        self.m.reset(func, opts);
+        self.lane.reset(func);
         // Snapshot the unrounded originals of demoted float parameters:
         // `Machine::bind_args` rounds them in place, and the shadow binds
         // the value *before* that representation rounding.
@@ -440,906 +540,813 @@ impl<S: ShadowNum> ShadowMachine<S> {
         }
 
         // Bind the shadow parameters and charge entry rounding.
-        let mut acc = 0.0f64;
-        let mut nonfinite = 0u64;
+        let lane = &mut self.lane;
         for (k, spec) in func.params.iter().enumerate() {
+            let reg = spec.reg as usize;
             match spec.kind {
                 ParamKind::F(_) => {
                     let orig = scalar_orig[k].unwrap_or(0.0);
-                    let prim = self.m.f[spec.reg as usize];
-                    self.sf[spec.reg as usize] = S::from_f64(orig);
-                    charge_entry(
-                        (orig - prim).abs(),
-                        self.fvar_of[spec.reg as usize],
-                        &mut self.var_err,
-                        &mut acc,
-                        &mut nonfinite,
-                    );
+                    lane.sf[reg] = S::from_f64(orig);
+                    lane.charge_entry((orig - self.m.f[reg]).abs(), lane.fvar_of[reg]);
                 }
                 ParamKind::FArr(_) => {
-                    let slot = &self.m.a[spec.reg as usize];
-                    let prim: &[f64] = match slot {
+                    let prim: &[f64] = match &self.m.a[reg] {
                         ArraySlot::F(v) => v,
                         _ => &[],
                     };
-                    let shadow = &mut self.sa[spec.reg as usize];
+                    let mut shadow = std::mem::take(&mut lane.sa[reg]);
                     shadow.clear();
                     match &array_orig[k] {
                         Some(orig) => {
-                            let var = self.avar_of[spec.reg as usize];
+                            let var = lane.avar_of[reg];
                             for (o, p) in orig.iter().zip(prim) {
                                 shadow.push(S::from_f64(*o));
-                                charge_entry(
-                                    (o - p).abs(),
-                                    var,
-                                    &mut self.var_err,
-                                    &mut acc,
-                                    &mut nonfinite,
-                                );
+                                lane.charge_entry((o - p).abs(), var);
                             }
                         }
                         None => shadow.extend(prim.iter().map(|&p| S::from_f64(p))),
                     }
+                    lane.sa[reg] = shadow;
                 }
                 _ => {}
             }
         }
 
-        // Profiling picks a separately monomorphized loop, mirroring
-        // `Machine::run_prevalidated`.
-        let ret = if opts.profile {
-            self.exec_loop::<true>(func, code, opts, &mut acc, &mut nonfinite)?
-        } else {
-            self.exec_loop::<false>(func, code, opts, &mut acc, &mut nonfinite)?
-        };
+        let ret = dispatch(func, code, opts, &mut self.m, lane)?;
         self.m.stats.tape_peak_bytes = self.m.tape.peak_bytes();
         self.m.stats.tape_total_pushes = self.m.tape.total_pushes();
         let args = self.m.unbind_args(func);
-        let var_error = self
+        let lane = &mut self.lane;
+        let var_error = lane
             .var_names
             .iter()
             .cloned()
-            .zip(self.var_err.iter().copied())
+            .zip(lane.var_err.iter().copied())
             .collect();
-        let var_divergence = self
+        let var_divergence = lane
             .var_names
             .iter()
             .cloned()
-            .zip(self.var_div.iter().copied())
+            .zip(lane.var_div.iter().copied())
             .collect();
-        if self.div_count > 0 {
-            chef_telemetry::counter!("exec.shadow.divergences").add(self.div_count);
+        if lane.div_count > 0 {
+            chef_telemetry::counter!("exec.shadow.divergences").add(lane.div_count);
         }
         let profile = opts.profile.then(|| crate::vm::ExecProfile {
             pc_counts: std::mem::take(&mut self.m.prof),
         });
         Ok(ShadowOutcome {
-            ret: ret.0,
-            shadow_ret: ret.1,
-            ret_error: ret.2,
+            ret,
+            shadow_ret: lane.ret.map(|r| r.0),
+            ret_error: lane.ret.map(|r| r.1),
             args,
             stats: self.m.stats,
-            samples: std::mem::take(&mut self.samples),
+            samples: std::mem::take(&mut lane.samples),
             var_error,
-            acc_error: acc,
-            nonfinite_samples: nonfinite,
-            divergence_count: self.div_count,
-            divergence: std::mem::take(&mut self.divs),
+            acc_error: lane.acc,
+            nonfinite_samples: lane.nonfinite,
+            divergence_count: lane.div_count,
+            divergence: std::mem::take(&mut lane.divs),
             var_divergence,
             profile,
         })
     }
+}
 
-    /// The fused dispatch loop: mirrors [`crate::vm`]'s dispatch loop
-    /// opcode by opcode on the primal side (same results, traps and budget
-    /// checkpoints; 8-byte words, constants from the pool) and threads the
-    /// shadow values, local-error samples and pending attribution
-    /// alongside. Register accesses stay bounds-checked by slice indexing
-    /// (the shadow arithmetic dominates this loop's cost).
-    #[allow(clippy::type_complexity)]
-    #[allow(unused_unsafe)] // `fld!` is an unsafe load and composes with other unsafe spots
-    fn exec_loop<const PROFILE: bool>(
-        &mut self,
-        func: &CompiledFunction,
-        code: &PackedCode,
-        opts: &ExecOptions,
-        acc: &mut f64,
-        nonfinite: &mut u64,
-    ) -> Result<(Option<Value>, Option<f64>, Option<f64>), Trap> {
-        use crate::pack::{
-            cmp_from, op, ty_from, w_a, w_b, w_b_i16, w_c, w_c_i16, w_d, w_d_i8, w_op, INTRINSICS,
-        };
-        let ShadowMachine {
-            m,
-            sf,
-            pend,
-            sa,
-            stape,
-            fvar_of,
-            avar_of,
-            var_err,
-            samples,
-            var_div,
-            divs,
-            div_count,
-            ..
-        } = self;
-        let Machine {
-            f,
-            i,
-            a,
-            tape,
-            stats,
-            prof,
-        } = m;
-        let f = &mut f[..];
-        let i = &mut i[..];
-        let words = &code.words[..];
-        let pool = &code.pool[..];
-        let len = words.len();
-        let approx = &opts.approx;
-        let budget = opts.max_instrs.unwrap_or(u64::MAX);
-        let check_div = opts.detect_divergence;
-        let trap_nf = opts.trap_on_nonfinite;
-        let deadline = opts.deadline;
-        let mut deadline_at: u64 = if deadline.is_some() {
-            crate::vm::DEADLINE_STRIDE
-        } else {
-            u64::MAX
-        };
-        let mut executed: u64 = 0;
-        let mut pc: usize = 0;
+/// Runs [`exec_loop`] in the monomorphization [`ExecOptions::profile`]
+/// selects, so the default path carries no per-iteration check.
+pub(crate) fn dispatch<S: ShadowNum>(
+    func: &CompiledFunction,
+    code: &PackedCode,
+    opts: &ExecOptions,
+    m: &mut Machine,
+    lane: &mut Lane<S>,
+) -> Result<Option<Value>, Trap> {
+    if opts.profile {
+        exec_loop::<S, true>(func, code, opts, m, lane)
+    } else {
+        exec_loop::<S, false>(func, code, opts, m, lane)
+    }
+}
 
-        let trap = |kind: TrapKind, pc: usize| Trap {
-            kind,
-            pc,
-            span: func.spans.get(pc).copied().unwrap_or(Span::DUMMY),
-        };
+/// The dispatch loop: the hot path of the engine, and its only loop.
+///
+/// Executes the packed words of [`crate::pack`]: fetches one 8-byte word
+/// per instruction, decodes operands with shifts, reads wide constants
+/// from the hoisted pool, and dispatches on a dense `u8` opcode the
+/// compiler lowers to a jump table. The enum [`Instr`] stream is the
+/// reference the words were validated against, never executed itself.
+///
+/// One loop, two lanes. The primal statements — arithmetic, rounding,
+/// traps, tape, budget and deadline checkpoints — run in every
+/// instantiation. Every shadow statement (shadow register, array and
+/// tape mirrors, local-error samples, pending attribution, divergence
+/// checks, the return-error sample) sits behind `if S::SHADOW`, so the
+/// plain VM's instantiation over the zero-sized [`PrimalOnly`] lane
+/// compiles to the primal statements alone, and a shadow statement can
+/// read primal state but never write it.
+///
+/// Executed-instruction accounting is block-granular: instead of a
+/// loop-carried `executed += 1`, the straight-line run since
+/// `block_start` is added at every taken jump and at returns — the same
+/// program points where the budget is checked, so the final count and the
+/// budget semantics equal per-instruction accounting. A divergence point
+/// rebuilds the per-instruction count at the split (`at_instr`).
+///
+/// SAFETY of the unchecked accesses: [`entry_code`] proved (a) every enum
+/// operand in range and (b) every packed word decodes to its enum
+/// instruction, so the fields extracted here are exactly the validated
+/// operands; pool indices were bounds-checked by the decode; jump targets
+/// are ≤ `words.len()` and the fetch breaks at `len`. The shadow files
+/// are sized to the same register counts by [`Lane::reset`], and
+/// `samples` to the instruction count.
+#[allow(unused_unsafe)] // `fld!` is an unsafe load and composes with the access macros
+#[inline(never)] // own code-layout home: keeps dispatch-loop timing stable
+fn exec_loop<S: ShadowNum, const PROFILE: bool>(
+    func: &CompiledFunction,
+    code: &PackedCode,
+    opts: &ExecOptions,
+    m: &mut Machine,
+    lane: &mut Lane<S>,
+) -> Result<Option<Value>, Trap> {
+    use crate::pack::{
+        cmp_from, op, ty_from, w_a, w_b, w_b_i16, w_c, w_c_i16, w_d, w_d_i8, w_op, INTRINSICS,
+    };
+    let Machine {
+        f,
+        i,
+        a,
+        tape,
+        stats,
+        prof,
+    } = m;
+    let Lane {
+        sf,
+        pend,
+        sa,
+        stape,
+        fvar_of,
+        avar_of,
+        var_err,
+        samples,
+        var_div,
+        divs,
+        div_count,
+        acc,
+        nonfinite,
+        ret: shadow_ret,
+        ..
+    } = lane;
+    // Slices, not `Vec`s, so the hot loop keeps base pointers in registers.
+    let (f, i, a, prof) = (&mut f[..], &mut i[..], &mut a[..], &mut prof[..]);
+    let (sf, pend, sa, fvar_of, avar_of) = (
+        &mut sf[..],
+        &mut pend[..],
+        &mut sa[..],
+        &fvar_of[..],
+        &avar_of[..],
+    );
+    let (var_err, samples, var_div) = (&mut var_err[..], &mut samples[..], &mut var_div[..]);
+    let words = &code.words[..];
+    let pool = &code.pool[..];
+    let len = words.len();
+    let approx = &opts.approx;
+    let budget = opts.max_instrs.unwrap_or(u64::MAX);
+    let check_div = opts.detect_divergence;
+    let trap_nf = opts.trap_on_nonfinite;
+    let deadline = opts.deadline;
+    let mut deadline_at: u64 = if deadline.is_some() {
+        DEADLINE_STRIDE
+    } else {
+        u64::MAX
+    };
+    let mut executed: u64 = 0;
+    let mut block_start: usize = 0;
+    let mut pc: usize = 0;
 
-        macro_rules! sample {
-            ($local:expr) => {{
-                let l: f64 = $local;
-                if l > 0.0 {
-                    if l.is_finite() {
-                        let s = &mut samples[pc];
-                        s.sum += l;
-                        if l > s.max {
-                            s.max = l;
-                        }
-                        s.count += 1;
-                        *acc += l;
-                    } else {
-                        *nonfinite += 1;
+    let trap = |kind: TrapKind, pc: usize| Trap {
+        kind,
+        pc,
+        span: func.spans.get(pc).copied().unwrap_or(Span::DUMMY),
+    };
+
+    // Register/pool access macros over raw usize fields. SAFETY: see the
+    // function-level comment.
+    macro_rules! fr {
+        ($r:expr) => {
+            unsafe { *f.get_unchecked($r) }
+        };
+    }
+    macro_rules! ir {
+        ($r:expr) => {
+            unsafe { *i.get_unchecked($r) }
+        };
+    }
+    macro_rules! iw {
+        ($r:expr, $v:expr) => {{
+            let v = $v;
+            unsafe { *i.get_unchecked_mut($r) = v };
+        }};
+    }
+    macro_rules! aslot {
+        ($r:expr) => {
+            unsafe { &mut *a.get_unchecked_mut($r) }
+        };
+    }
+    macro_rules! pool {
+        ($k:expr) => {
+            unsafe { *pool.get_unchecked($k) }
+        };
+    }
+    // Shadow value and pending error of float register `$r`. SAFETY:
+    // `Lane::reset` sized `sf` and `pend` to the validated `n_fregs`.
+    macro_rules! sr {
+        ($r:expr) => {
+            unsafe { *sf.get_unchecked($r) }
+        };
+    }
+    macro_rules! pr {
+        ($r:expr) => {
+            unsafe { *pend.get_unchecked($r) }
+        };
+    }
+    // Operand-field macros: direct narrow loads from the word stream,
+    // addressed by `pc` alone. SAFETY: the loop head checks `pc < len`.
+    macro_rules! fld {
+        ($f:ident) => {
+            unsafe { $f(words, pc) }
+        };
+    }
+    // Element `$index` of array slot `$r` of kind `$kind`, or an
+    // out-of-bounds trap.
+    macro_rules! elem {
+        ($r:expr, $kind:ident, $index:expr) => {{
+            let index: i64 = $index;
+            match aslot!($r) {
+                ArraySlot::$kind(v) => {
+                    let len = v.len();
+                    match v.get_mut(index as usize) {
+                        Some(x) if index >= 0 => x,
+                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len }, pc)),
                     }
-                } else if l.is_nan() {
+                }
+                _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
+            }
+        }};
+    }
+    macro_rules! jump {
+        ($target:expr) => {{
+            let t = $target;
+            executed += (pc - block_start + 1) as u64;
+            if t <= pc {
+                if executed > budget {
+                    return Err(trap(TrapKind::InstrBudgetExhausted { executed }, pc));
+                }
+                if executed >= deadline_at && deadline_probe(deadline, executed, &mut deadline_at) {
+                    return Err(trap(TrapKind::DeadlineExceeded { executed }, pc));
+                }
+            }
+            block_start = t;
+            pc = t;
+            continue;
+        }};
+    }
+    // Shadow lane only: records one local-error sample at `pc`.
+    macro_rules! sample {
+        ($local:expr) => {{
+            let l: f64 = $local;
+            if l > 0.0 {
+                if l.is_finite() {
+                    // SAFETY: `pc < len` (loop head) and `Lane::reset`
+                    // sized `samples` to the instruction count.
+                    let s = unsafe { samples.get_unchecked_mut(pc) };
+                    s.sum += l;
+                    if l > s.max {
+                        s.max = l;
+                    }
+                    s.count += 1;
+                    *acc += l;
+                } else {
                     *nonfinite += 1;
                 }
-            }};
-        }
-        // Writes primal+shadow to register index `$dst` and commits the
-        // pending error to its variable.
-        macro_rules! put {
-            ($dst:expr, $prim:expr, $shadow:expr, $pend:expr) => {{
-                let d: usize = $dst;
-                let prim = $prim;
-                if trap_nf && !prim.is_finite() {
-                    return Err(crate::vm::nonfinite_trap(func, d, prim, pc));
-                }
-                f[d] = prim;
-                sf[d] = $shadow;
+            } else if l.is_nan() {
+                *nonfinite += 1;
+            }
+        }};
+    }
+    // Shadow lane only: the rounding error of primal result `$prim`
+    // against the same op on the primal inputs in `S` (`$exact`),
+    // sampled at `pc`.
+    macro_rules! local {
+        ($exact:expr, $prim:expr) => {{
+            let l = S::sub($exact, S::from_f64($prim)).to_f64().abs();
+            sample!(l);
+            l
+        }};
+    }
+    // Writes `$prim` to float register `$dst`; in the shadow lane also
+    // writes `$shadow` and commits the pending error `$pend` to the
+    // register's variable. The shadow expressions are evaluated only in
+    // the shadow lane.
+    macro_rules! put {
+        ($dst:expr, $prim:expr, $shadow:expr, $pend:expr) => {{
+            let prim: f64 = $prim;
+            if trap_nf && !prim.is_finite() {
+                return Err(nonfinite_trap(func, $dst, prim, pc));
+            }
+            let d: usize = $dst;
+            if S::SHADOW {
+                let s: S = $shadow;
                 let mut p: f64 = $pend;
-                let v = fvar_of[d];
+                // SAFETY: `d` is a validated float register, and
+                // `Lane::reset` sized `fvar_of`, `sf` and `pend` to
+                // `n_fregs`.
+                let v = unsafe { *fvar_of.get_unchecked(d) };
                 if v != 0 {
                     var_err[(v - 1) as usize] += p;
                     p = 0.0;
                 }
-                pend[d] = p;
-            }};
-        }
-        macro_rules! jump {
-            ($target:expr) => {{
-                let t = $target;
-                if t <= pc {
-                    if executed > budget {
-                        return Err(trap(TrapKind::InstrBudgetExhausted { executed }, pc));
-                    }
-                    if executed >= deadline_at
-                        && crate::vm::deadline_probe(deadline, executed, &mut deadline_at)
-                    {
-                        return Err(trap(TrapKind::DeadlineExceeded { executed }, pc));
-                    }
+                unsafe {
+                    *sf.get_unchecked_mut(d) = s;
+                    *pend.get_unchecked_mut(d) = p;
                 }
-                pc = t;
-                continue;
-            }};
-        }
-        // Divergence checks: re-decide a float compare / truncation on the
-        // shadow operands (register operands are usize indices here).
-        macro_rules! diverge_fcmp {
-            ($op:expr, $x:expr, $y:expr, $taken:expr) => {{
-                if check_div {
-                    let (xi, yi) = ($x, $y);
-                    let would = S::cmp($op, sf[xi], sf[yi]);
-                    if would != $taken {
-                        *div_count += 1;
-                        let vx = fvar_of[xi];
-                        if vx != 0 {
-                            var_div[(vx - 1) as usize] += 1;
-                        }
-                        let vy = fvar_of[yi];
-                        if vy != 0 && vy != vx {
-                            var_div[(vy - 1) as usize] += 1;
-                        }
-                        if divs.len() < MAX_DIVERGENCE_POINTS {
-                            divs.push(DivergencePoint {
-                                pc,
-                                at_instr: executed,
-                                kind: DivergenceKind::FCmp {
-                                    op: $op,
-                                    primal: (f[xi], f[yi]),
-                                    shadow: (sf[xi].to_f64(), sf[yi].to_f64()),
-                                    taken: $taken,
-                                    would_take: would,
-                                },
-                            });
-                        }
-                    }
-                }
-            }};
-        }
-        macro_rules! diverge_f2i {
-            ($x:expr, $primal_int:expr) => {{
-                if check_div {
-                    let xi = $x;
-                    let si = S::trunc_i64(sf[xi]);
-                    if si != $primal_int {
-                        *div_count += 1;
-                        let vx = fvar_of[xi];
-                        if vx != 0 {
-                            var_div[(vx - 1) as usize] += 1;
-                        }
-                        if divs.len() < MAX_DIVERGENCE_POINTS {
-                            divs.push(DivergencePoint {
-                                pc,
-                                at_instr: executed,
-                                kind: DivergenceKind::F2I {
-                                    primal: f[xi],
-                                    shadow: sf[xi].to_f64(),
-                                    primal_int: $primal_int,
-                                    shadow_int: si,
-                                },
-                            });
-                        }
-                    }
-                }
-            }};
-        }
-        // Operand-field macros: direct narrow loads from the word stream,
-        // addressed by `pc` alone. SAFETY: the loop head checks `pc < len`.
-        macro_rules! fld {
-            ($f:ident) => {
-                unsafe { $f(words, pc) }
-            };
-        }
-
-        let ret: (Option<Value>, Option<f64>, Option<f64>) = loop {
-            if pc >= len {
-                break (None, None, None);
             }
-            executed += 1;
-            if PROFILE {
-                prof[pc] += 1;
-            }
-            match fld!(w_op) {
-                op::FCONST => {
-                    let v = f64::from_bits(pool[fld!(w_b)]);
-                    put!(fld!(w_a), v, S::from_f64(v), 0.0);
-                }
-                op::FMOV => {
-                    let s = fld!(w_b);
-                    put!(fld!(w_a), f[s], sf[s], pend[s]);
-                }
-                op::FADD => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = pa + pb;
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::add(sf[x], sf[y]), p);
-                }
-                op::FSUB => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = pa - pb;
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::sub(sf[x], sf[y]), p);
-                }
-                op::FMUL => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = pa * pb;
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::mul(sf[x], sf[y]), p);
-                }
-                op::FDIV => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = pa / pb;
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::div(sf[x], sf[y]), p);
-                }
-                op::FNEG => {
-                    let s = fld!(w_b);
-                    put!(fld!(w_a), -f[s], S::neg(sf[s]), pend[s]);
-                }
-                op::FROUND => {
-                    let s = fld!(w_b);
-                    let v = f[s];
-                    let prim = round_to(v, ty_from(fld!(w_d) as u8));
-                    let local = (v - prim).abs();
-                    sample!(local);
-                    put!(fld!(w_a), prim, sf[s], pend[s] + local);
-                }
-                op::FINTR1 => {
-                    let x = fld!(w_b);
-                    let intr = INTRINSICS[fld!(w_d)];
-                    let pa = f[x];
-                    let prim = eval1(intr, pa, approx);
-                    let local = S::sub(S::intr1(intr, S::from_f64(pa), approx), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::intr1(intr, sf[x], approx),
-                        pend[x] + local
-                    );
-                }
-                op::FINTR2 => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let intr = INTRINSICS[fld!(w_d)];
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = eval2(intr, pa, pb, approx);
-                    let local = S::sub(
-                        S::intr2(intr, S::from_f64(pa), S::from_f64(pb), approx),
-                        S::from_f64(prim),
+            unsafe { *f.get_unchecked_mut(d) = prim };
+        }};
+    }
+    // `dst = x ∘ y` over float registers B and C: `$prim` is the primal
+    // result of inputs `$x`, `$y` (the op, possibly rounded), `$sop` the
+    // op in `S`.
+    macro_rules! arith {
+        ($sop:path, |$x:ident, $y:ident| $prim:expr) => {{
+            let (xr, yr) = (fld!(w_b), fld!(w_c));
+            let ($x, $y) = (fr!(xr), fr!(yr));
+            let prim: f64 = $prim;
+            put!(
+                fld!(w_a),
+                prim,
+                $sop(sr!(xr), sr!(yr)),
+                pr!(xr) + pr!(yr) + local!($sop(S::from_f64($x), S::from_f64($y)), prim)
+            );
+        }};
+    }
+    // `dst = x ∘ k` or `dst = k ∘ x`: float register B and pool constant
+    // C. `$prim` and `$shadow` are the same op over `$x`, `$k` as `f64`
+    // and as `S`.
+    macro_rules! arith_k {
+        (|$x:ident, $k:ident| $prim:expr, $shadow:expr) => {{
+            let xr = fld!(w_b);
+            let $k = f64::from_bits(pool!(fld!(w_c)));
+            let $x = fr!(xr);
+            let prim: f64 = $prim;
+            put!(
+                fld!(w_a),
+                prim,
+                {
+                    let ($x, $k) = (sr!(xr), S::from_f64($k));
+                    $shadow
+                },
+                pr!(xr)
+                    + local!(
+                        {
+                            let ($x, $k) = (S::from_f64($x), S::from_f64($k));
+                            $shadow
+                        },
+                        prim
                     )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::intr2(intr, sf[x], sf[y], approx), p);
+            );
+        }};
+    }
+    // `dst = intr(x)` / `dst = intr(x, y)`, rounded by `$round`. SAFETY:
+    // validation decoded the intrinsic code, so it indexes `INTRINSICS`.
+    macro_rules! intr1 {
+        ($code:expr, |$v:ident| $round:expr) => {{
+            let xr = fld!(w_b);
+            let intr = unsafe { *INTRINSICS.get_unchecked($code) };
+            let x = fr!(xr);
+            let $v = eval1(intr, x, approx);
+            let prim: f64 = $round;
+            put!(
+                fld!(w_a),
+                prim,
+                S::intr1(intr, sr!(xr), approx),
+                pr!(xr) + local!(S::intr1(intr, S::from_f64(x), approx), prim)
+            );
+        }};
+    }
+    macro_rules! intr2 {
+        ($code:expr, |$v:ident| $round:expr) => {{
+            let (xr, yr) = (fld!(w_b), fld!(w_c));
+            let intr = unsafe { *INTRINSICS.get_unchecked($code) };
+            let (x, y) = (fr!(xr), fr!(yr));
+            let $v = eval2(intr, x, y, approx);
+            let prim: f64 = $round;
+            put!(
+                fld!(w_a),
+                prim,
+                S::intr2(intr, sr!(xr), sr!(yr), approx),
+                pr!(xr)
+                    + pr!(yr)
+                    + local!(S::intr2(intr, S::from_f64(x), S::from_f64(y), approx), prim)
+            );
+        }};
+    }
+    // Float loads and stores: array slot, float register and index.
+    macro_rules! fload {
+        ($index:expr) => {{
+            let arr = fld!(w_b);
+            let index: i64 = $index;
+            let prim = *elem!(arr, F, index);
+            put!(
+                fld!(w_a),
+                prim,
+                // SAFETY: `arr` is a validated array register; `sa` has
+                // `n_aregs` entries.
+                unsafe { sa.get_unchecked(arr) }
+                    .get(index as usize)
+                    .copied()
+                    .unwrap_or(S::from_f64(prim)),
+                0.0
+            );
+        }};
+    }
+    macro_rules! fstore {
+        ($index:expr) => {{
+            let arr = fld!(w_a);
+            let index: i64 = $index;
+            let src = fld!(w_c);
+            *elem!(arr, F, index) = fr!(src);
+            if S::SHADOW {
+                // SAFETY: `arr` and `src` are validated array and float
+                // registers; `sa`/`avar_of` have `n_aregs` entries and
+                // `pend` has `n_fregs`.
+                if let Some(slot) = unsafe { sa.get_unchecked_mut(arr) }.get_mut(index as usize) {
+                    *slot = sr!(src);
                 }
-                op::FCMP => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let cmp = cmp_from(fld!(w_d) as u8);
-                    let taken = fcmp(cmp, f[x], f[y]);
-                    i[fld!(w_a)] = taken as i64;
-                    diverge_fcmp!(cmp, x, y, taken);
+                let var = unsafe { *avar_of.get_unchecked(arr) };
+                if var != 0 {
+                    var_err[(var - 1) as usize] += pr!(src);
                 }
-                op::FLOAD => {
-                    let arr = fld!(w_b);
-                    let index = i[fld!(w_c)];
-                    let prim = match &a[arr] {
-                        ArraySlot::F(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    };
-                    let sh = sa[arr]
-                        .get(index as usize)
-                        .copied()
-                        .unwrap_or(S::from_f64(prim));
-                    put!(fld!(w_a), prim, sh, 0.0);
+                unsafe { *pend.get_unchecked_mut(src) = 0.0 };
+            }
+        }};
+    }
+    macro_rules! alloc {
+        ($kind:ident, $stale:ident, $zero:expr) => {{
+            let arr = fld!(w_a);
+            let n = ir!(fld!(w_b));
+            if n < 0 {
+                return Err(trap(TrapKind::NegativeArrayLen(n), pc));
+            }
+            stats.local_array_bytes += n as usize * 8;
+            let slot = aslot!(arr);
+            match slot {
+                ArraySlot::$kind(v) | ArraySlot::$stale(v) => {
+                    v.clear();
+                    v.resize(n as usize, $zero);
+                    let buf = std::mem::take(v);
+                    *slot = ArraySlot::$kind(buf);
                 }
-                op::FSTORE => {
-                    let arr = fld!(w_a);
-                    let index = i[fld!(w_b)];
-                    let src = fld!(w_c);
-                    let v = f[src];
-                    match &mut a[arr] {
-                        ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
+                other => *other = ArraySlot::$kind(vec![$zero; n as usize]),
+            }
+            (arr, n as usize)
+        }};
+    }
+    // Divergence checks (shadow lane, detection on): re-decide a float
+    // compare / truncation on the shadow operands. `at_instr` is the
+    // per-instruction count at the split, including this instruction.
+    macro_rules! diverge_fcmp {
+        ($op:expr, $x:expr, $y:expr, $taken:expr) => {{
+            if S::SHADOW && check_div {
+                let (xi, yi) = ($x, $y);
+                let would = S::cmp($op, sr!(xi), sr!(yi));
+                if would != $taken {
+                    *div_count += 1;
+                    let vx = fvar_of[xi];
+                    if vx != 0 {
+                        var_div[(vx - 1) as usize] += 1;
                     }
-                    if let Some(slot) = sa[arr].get_mut(index as usize) {
-                        *slot = sf[src];
+                    let vy = fvar_of[yi];
+                    if vy != 0 && vy != vx {
+                        var_div[(vy - 1) as usize] += 1;
                     }
-                    let var = avar_of[arr];
-                    if var != 0 {
-                        var_err[(var - 1) as usize] += pend[src];
+                    if divs.len() < MAX_DIVERGENCE_POINTS {
+                        divs.push(DivergencePoint {
+                            pc,
+                            at_instr: executed + (pc - block_start + 1) as u64,
+                            kind: DivergenceKind::FCmp {
+                                op: $op,
+                                primal: (fr!(xi), fr!(yi)),
+                                shadow: (sr!(xi).to_f64(), sr!(yi).to_f64()),
+                                taken: $taken,
+                                would_take: would,
+                            },
+                        });
                     }
-                    pend[src] = 0.0;
                 }
-                op::F2I => {
-                    let x = fld!(w_b);
-                    let trunc = f[x] as i64;
-                    i[fld!(w_a)] = trunc;
-                    diverge_f2i!(x, trunc);
+            }
+        }};
+    }
+    macro_rules! diverge_f2i {
+        ($x:expr, $primal_int:expr) => {{
+            if S::SHADOW && check_div {
+                let xi = $x;
+                let si = S::trunc_i64(sr!(xi));
+                if si != $primal_int {
+                    *div_count += 1;
+                    let vx = fvar_of[xi];
+                    if vx != 0 {
+                        var_div[(vx - 1) as usize] += 1;
+                    }
+                    if divs.len() < MAX_DIVERGENCE_POINTS {
+                        divs.push(DivergencePoint {
+                            pc,
+                            at_instr: executed + (pc - block_start + 1) as u64,
+                            kind: DivergenceKind::F2I {
+                                primal: fr!(xi),
+                                shadow: sr!(xi).to_f64(),
+                                primal_int: $primal_int,
+                                shadow_int: si,
+                            },
+                        });
+                    }
                 }
-                op::I2F => {
-                    let v = i[fld!(w_b)] as f64;
-                    put!(fld!(w_a), v, S::from_f64(v), 0.0);
-                }
+            }
+        }};
+    }
+    // Float compare-and-branch: jump to C when the compare of A and B
+    // evaluates to `$when`.
+    macro_rules! fcmp_jump {
+        ($when:expr) => {{
+            let (x, y) = (fld!(w_a), fld!(w_b));
+            let cmp = cmp_from(fld!(w_d) as u8);
+            let taken = fcmp(cmp, fr!(x), fr!(y));
+            diverge_fcmp!(cmp, x, y, taken);
+            if taken == $when {
+                jump!(fld!(w_c));
+            }
+        }};
+    }
 
-                op::ICONST => i[fld!(w_a)] = fld!(w_b_i16),
-                op::ICONSTP => i[fld!(w_a)] = pool[fld!(w_b)] as i64,
-                op::IMOV => i[fld!(w_a)] = i[fld!(w_b)],
-                op::IADD => i[fld!(w_a)] = i[fld!(w_b)].wrapping_add(i[fld!(w_c)]),
-                op::ISUB => i[fld!(w_a)] = i[fld!(w_b)].wrapping_sub(i[fld!(w_c)]),
-                op::IMUL => i[fld!(w_a)] = i[fld!(w_b)].wrapping_mul(i[fld!(w_c)]),
-                op::IDIV => {
-                    let d = i[fld!(w_c)];
-                    if d == 0 {
-                        return Err(trap(TrapKind::DivByZero, pc));
-                    }
-                    i[fld!(w_a)] = i[fld!(w_b)].wrapping_div(d);
-                }
-                op::IREM => {
-                    let d = i[fld!(w_c)];
-                    if d == 0 {
-                        return Err(trap(TrapKind::DivByZero, pc));
-                    }
-                    i[fld!(w_a)] = i[fld!(w_b)].wrapping_rem(d);
-                }
-                op::INEG => i[fld!(w_a)] = i[fld!(w_b)].wrapping_neg(),
-                op::ICMP => {
-                    i[fld!(w_a)] =
-                        icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_b)], i[fld!(w_c)]) as i64;
-                }
-                op::ILOAD => {
-                    let index = i[fld!(w_c)];
-                    match &a[fld!(w_b)] {
-                        ArraySlot::I(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => i[fld!(w_a)] = x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                }
-                op::ISTORE => {
-                    let index = i[fld!(w_b)];
-                    let v = i[fld!(w_c)];
-                    match &mut a[fld!(w_a)] {
-                        ArraySlot::I(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                }
-                op::BNOT => i[fld!(w_a)] = (i[fld!(w_b)] == 0) as i64,
+    let ret: Option<Value> = loop {
+        if pc >= len {
+            executed += (pc - block_start) as u64;
+            break None; // fall off the end: treated like RetVoid
+        }
+        // Per-pc profiling stays per-iteration even though `executed` is
+        // block-granular: one increment per dispatched word sums to the
+        // same total the block accounting reports.
+        if PROFILE {
+            prof[pc] += 1;
+        }
+        match fld!(w_op) {
+            op::FCONST => {
+                let v = f64::from_bits(pool!(fld!(w_b)));
+                put!(fld!(w_a), v, S::from_f64(v), 0.0);
+            }
+            op::FMOV => {
+                let s = fld!(w_b);
+                put!(fld!(w_a), fr!(s), sr!(s), pr!(s));
+            }
+            op::FADD => arith!(S::add, |x, y| x + y),
+            op::FSUB => arith!(S::sub, |x, y| x - y),
+            op::FMUL => arith!(S::mul, |x, y| x * y),
+            op::FDIV => arith!(S::div, |x, y| x / y),
+            op::FNEG => {
+                let s = fld!(w_b);
+                put!(fld!(w_a), -fr!(s), S::neg(sr!(s)), pr!(s));
+            }
+            op::FROUND => {
+                let s = fld!(w_b);
+                let v = fr!(s);
+                let prim = round_to(v, ty_from(fld!(w_d) as u8));
+                put!(fld!(w_a), prim, sr!(s), {
+                    let l = (v - prim).abs();
+                    sample!(l);
+                    pr!(s) + l
+                });
+            }
+            op::FINTR1 => intr1!(fld!(w_d), |v| v),
+            op::FINTR2 => intr2!(fld!(w_d), |v| v),
+            op::FCMP => {
+                let (x, y) = (fld!(w_b), fld!(w_c));
+                let cmp = cmp_from(fld!(w_d) as u8);
+                let taken = fcmp(cmp, fr!(x), fr!(y));
+                iw!(fld!(w_a), taken as i64);
+                diverge_fcmp!(cmp, x, y, taken);
+            }
+            op::FLOAD => fload!(ir!(fld!(w_c))),
+            op::FSTORE => fstore!(ir!(fld!(w_b))),
+            op::F2I => {
+                let x = fld!(w_b);
+                let trunc = fr!(x) as i64;
+                iw!(fld!(w_a), trunc);
+                diverge_f2i!(x, trunc);
+            }
+            op::I2F => {
+                let v = ir!(fld!(w_b)) as f64;
+                put!(fld!(w_a), v, S::from_f64(v), 0.0);
+            }
 
-                op::JMP => jump!(fld!(w_c)),
-                op::JMPF => {
-                    if i[fld!(w_a)] == 0 {
-                        jump!(fld!(w_c));
-                    }
+            op::ICONST => iw!(fld!(w_a), fld!(w_b_i16)),
+            op::ICONSTP => iw!(fld!(w_a), pool!(fld!(w_b)) as i64),
+            op::IMOV => iw!(fld!(w_a), ir!(fld!(w_b))),
+            op::IADD => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(ir!(fld!(w_c)))),
+            op::ISUB => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_sub(ir!(fld!(w_c)))),
+            op::IMUL => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_mul(ir!(fld!(w_c)))),
+            op::IDIV => {
+                let d = ir!(fld!(w_c));
+                if d == 0 {
+                    return Err(trap(TrapKind::DivByZero, pc));
                 }
-                op::JMPT => {
-                    if i[fld!(w_a)] != 0 {
-                        jump!(fld!(w_c));
-                    }
+                iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_div(d));
+            }
+            op::IREM => {
+                let d = ir!(fld!(w_c));
+                if d == 0 {
+                    return Err(trap(TrapKind::DivByZero, pc));
                 }
+                iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_rem(d));
+            }
+            op::INEG => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_neg()),
+            op::ICMP => iw!(
+                fld!(w_a),
+                icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_b)), ir!(fld!(w_c))) as i64
+            ),
+            op::ILOAD => iw!(fld!(w_a), *elem!(fld!(w_b), I, ir!(fld!(w_c)))),
+            op::ISTORE => *elem!(fld!(w_a), I, ir!(fld!(w_b))) = ir!(fld!(w_c)),
+            op::BNOT => iw!(fld!(w_a), (ir!(fld!(w_b)) == 0) as i64),
 
-                op::TPUSHF => {
-                    let s = fld!(w_a);
-                    if let Err(e) = tape.push_f(f[s]) {
-                        return Err(trap(TrapKind::Tape(e), pc));
-                    }
-                    stape.push(sf[s]);
+            op::JMP => jump!(fld!(w_c)),
+            op::JMPF => {
+                if ir!(fld!(w_a)) == 0 {
+                    jump!(fld!(w_c));
                 }
-                op::TPOPF => match tape.pop_f() {
-                    Ok(v) => {
-                        let sh = stape.pop().unwrap_or(S::from_f64(v));
-                        put!(fld!(w_a), v, sh, 0.0);
-                    }
-                    Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-                },
-                op::TPUSHI => {
-                    if let Err(e) = tape.push_i(i[fld!(w_a)]) {
-                        return Err(trap(TrapKind::Tape(e), pc));
-                    }
+            }
+            op::JMPT => {
+                if ir!(fld!(w_a)) != 0 {
+                    jump!(fld!(w_c));
                 }
-                op::TPOPI => match tape.pop_i() {
-                    Ok(v) => i[fld!(w_a)] = v,
-                    Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-                },
+            }
 
-                op::ALLOCF => {
-                    let arr = fld!(w_a);
-                    let n = i[fld!(w_b)];
-                    if n < 0 {
-                        return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                    }
-                    stats.local_array_bytes += n as usize * 8;
-                    let slot = &mut a[arr];
-                    match slot {
-                        ArraySlot::F(v) | ArraySlot::StaleF(v) => {
-                            v.clear();
-                            v.resize(n as usize, 0.0);
-                            let buf = std::mem::take(v);
-                            *slot = ArraySlot::F(buf);
-                        }
-                        other => *other = ArraySlot::F(vec![0.0; n as usize]),
-                    }
-                    let shadow = &mut sa[arr];
+            op::TPUSHF => {
+                let s = fld!(w_a);
+                if let Err(e) = tape.push_f(fr!(s)) {
+                    return Err(trap(TrapKind::Tape(e), pc));
+                }
+                if S::SHADOW {
+                    stape.push(sr!(s));
+                }
+            }
+            op::TPOPF => match tape.pop_f() {
+                Ok(v) => put!(fld!(w_a), v, stape.pop().unwrap_or(S::from_f64(v)), 0.0),
+                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
+            },
+            op::TPUSHI => {
+                if let Err(e) = tape.push_i(ir!(fld!(w_a))) {
+                    return Err(trap(TrapKind::Tape(e), pc));
+                }
+            }
+            op::TPOPI => match tape.pop_i() {
+                Ok(v) => iw!(fld!(w_a), v),
+                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
+            },
+
+            op::ALLOCF => {
+                let (arr, n) = alloc!(F, StaleF, 0.0);
+                if S::SHADOW {
+                    // SAFETY: validated array register; `sa` has `n_aregs`.
+                    let shadow = unsafe { sa.get_unchecked_mut(arr) };
                     shadow.clear();
-                    shadow.resize(n as usize, S::from_f64(0.0));
+                    shadow.resize(n, S::from_f64(0.0));
                 }
-                op::ALLOCI => {
-                    let arr = fld!(w_a);
-                    let n = i[fld!(w_b)];
-                    if n < 0 {
-                        return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                    }
-                    stats.local_array_bytes += n as usize * 8;
-                    let slot = &mut a[arr];
-                    match slot {
-                        ArraySlot::I(v) | ArraySlot::StaleI(v) => {
-                            v.clear();
-                            v.resize(n as usize, 0);
-                            let buf = std::mem::take(v);
-                            *slot = ArraySlot::I(buf);
-                        }
-                        other => *other = ArraySlot::I(vec![0; n as usize]),
-                    }
-                    sa[arr].clear();
+            }
+            op::ALLOCI => {
+                let (arr, _) = alloc!(I, StaleI, 0);
+                if S::SHADOW {
+                    // SAFETY: validated array register; `sa` has `n_aregs`.
+                    unsafe { sa.get_unchecked_mut(arr) }.clear();
                 }
+            }
 
-                op::FMULADD => {
-                    let (x, y, c) = (fld!(w_b), fld!(w_c), fld!(w_d));
-                    let (pa, pb, pcv) = (f[x], f[y], f[c]);
-                    let prim = pa * pb + pcv;
-                    let local = S::sub(
-                        S::add(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(pcv)),
-                        S::from_f64(prim),
-                    )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + pend[c] + local;
-                    put!(fld!(w_a), prim, S::add(S::mul(sf[x], sf[y]), sf[c]), p);
+            op::FMULADD => {
+                // Two separate roundings, exactly like the unfused pair.
+                let (xr, yr, cr) = (fld!(w_b), fld!(w_c), fld!(w_d));
+                let (x, y, c) = (fr!(xr), fr!(yr), fr!(cr));
+                let prim = x * y + c;
+                put!(
+                    fld!(w_a),
+                    prim,
+                    S::add(S::mul(sr!(xr), sr!(yr)), sr!(cr)),
+                    pr!(xr)
+                        + pr!(yr)
+                        + pr!(cr)
+                        + local!(
+                            S::add(S::mul(S::from_f64(x), S::from_f64(y)), S::from_f64(c)),
+                            prim
+                        )
+                );
+            }
+            op::FADDROUND => arith!(S::add, |x, y| round_to(x + y, ty_from(fld!(w_d) as u8))),
+            op::FSUBROUND => arith!(S::sub, |x, y| round_to(x - y, ty_from(fld!(w_d) as u8))),
+            op::FMULROUND => arith!(S::mul, |x, y| round_to(x * y, ty_from(fld!(w_d) as u8))),
+            op::FDIVROUND => arith!(S::div, |x, y| round_to(x / y, ty_from(fld!(w_d) as u8))),
+            op::FINTR1ROUND => {
+                let d = fld!(w_d);
+                intr1!(d & 63, |v| round_to(v, ty_from((d >> 6) as u8)));
+            }
+            op::FINTR2ROUND => {
+                let d = fld!(w_d);
+                intr2!(d & 63, |v| round_to(v, ty_from((d >> 6) as u8)));
+            }
+            op::FLOADOFF => fload!(ir!(fld!(w_c)).wrapping_add(fld!(w_d_i8))),
+            op::FSTOREOFF => fstore!(ir!(fld!(w_b)).wrapping_add(fld!(w_d_i8))),
+            op::IADDIMM => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(fld!(w_c_i16))),
+            op::IADDIMMP => iw!(
+                fld!(w_a),
+                ir!(fld!(w_b)).wrapping_add(pool!(fld!(w_c)) as i64)
+            ),
+            op::FCJF => fcmp_jump!(false),
+            op::FCJT => fcmp_jump!(true),
+            op::ICJF => {
+                if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), ir!(fld!(w_b))) {
+                    jump!(fld!(w_c));
                 }
-                op::FADDROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(pa + pb, ty_from(fld!(w_d) as u8));
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::add(sf[x], sf[y]), p);
+            }
+            op::ICJT => {
+                if icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), ir!(fld!(w_b))) {
+                    jump!(fld!(w_c));
                 }
-                op::FSUBROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(pa - pb, ty_from(fld!(w_d) as u8));
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::sub(sf[x], sf[y]), p);
-                }
-                op::FMULROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(pa * pb, ty_from(fld!(w_d) as u8));
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::mul(sf[x], sf[y]), p);
-                }
-                op::FDIVROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(pa / pb, ty_from(fld!(w_d) as u8));
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::div(sf[x], sf[y]), p);
-                }
-                op::FINTR1ROUND => {
-                    let x = fld!(w_b);
-                    let d = fld!(w_d);
-                    let intr = INTRINSICS[d & 63];
-                    let pa = f[x];
-                    let prim = round_to(eval1(intr, pa, approx), ty_from((d >> 6) as u8));
-                    let local = S::sub(S::intr1(intr, S::from_f64(pa), approx), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::intr1(intr, sf[x], approx),
-                        pend[x] + local
-                    );
-                }
-                op::FINTR2ROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let d = fld!(w_d);
-                    let intr = INTRINSICS[d & 63];
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(eval2(intr, pa, pb, approx), ty_from((d >> 6) as u8));
-                    let local = S::sub(
-                        S::intr2(intr, S::from_f64(pa), S::from_f64(pb), approx),
-                        S::from_f64(prim),
-                    )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::intr2(intr, sf[x], sf[y], approx), p);
-                }
-                op::FLOADOFF => {
-                    let arr = fld!(w_b);
-                    let index = i[fld!(w_c)].wrapping_add(fld!(w_d_i8));
-                    let prim = match &a[arr] {
-                        ArraySlot::F(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    };
-                    let sh = sa[arr]
-                        .get(index as usize)
-                        .copied()
-                        .unwrap_or(S::from_f64(prim));
-                    put!(fld!(w_a), prim, sh, 0.0);
-                }
-                op::FSTOREOFF => {
-                    let arr = fld!(w_a);
-                    let index = i[fld!(w_b)].wrapping_add(fld!(w_d_i8));
-                    let src = fld!(w_c);
-                    let v = f[src];
-                    match &mut a[arr] {
-                        ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                    if let Some(slot) = sa[arr].get_mut(index as usize) {
-                        *slot = sf[src];
-                    }
-                    let var = avar_of[arr];
-                    if var != 0 {
-                        var_err[(var - 1) as usize] += pend[src];
-                    }
-                    pend[src] = 0.0;
-                }
-                op::IADDIMM => i[fld!(w_a)] = i[fld!(w_b)].wrapping_add(fld!(w_c_i16)),
-                op::IADDIMMP => i[fld!(w_a)] = i[fld!(w_b)].wrapping_add(pool[fld!(w_c)] as i64),
-                op::FCJF => {
-                    let (x, y) = (fld!(w_a), fld!(w_b));
-                    let cmp = cmp_from(fld!(w_d) as u8);
-                    let taken = fcmp(cmp, f[x], f[y]);
-                    diverge_fcmp!(cmp, x, y, taken);
-                    if !taken {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::FCJT => {
-                    let (x, y) = (fld!(w_a), fld!(w_b));
-                    let cmp = cmp_from(fld!(w_d) as u8);
-                    let taken = fcmp(cmp, f[x], f[y]);
-                    diverge_fcmp!(cmp, x, y, taken);
-                    if taken {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::ICJF => {
-                    if !icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_a)], i[fld!(w_b)]) {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::ICJT => {
-                    if icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_a)], i[fld!(w_b)]) {
-                        jump!(fld!(w_c));
-                    }
-                }
+            }
 
-                op::FADDC => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = pa + k;
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::add(sf[x], S::from_f64(k)),
-                        pend[x] + local
-                    );
+            op::FADDC => arith_k!(|x, k| x + k, S::add(x, k)),
+            op::FSUBC => arith_k!(|x, k| x - k, S::sub(x, k)),
+            op::FSUBCR => arith_k!(|x, k| k - x, S::sub(k, x)),
+            op::FMULC => arith_k!(|x, k| x * k, S::mul(x, k)),
+            op::FDIVC => arith_k!(|x, k| x / k, S::div(x, k)),
+            op::FDIVCR => arith_k!(|x, k| k / x, S::div(k, x)),
+            op::ICJFI => {
+                if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
+                    jump!(fld!(w_c));
                 }
-                op::FSUBC => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = pa - k;
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::sub(sf[x], S::from_f64(k)),
-                        pend[x] + local
-                    );
+            }
+            op::ICJTI => {
+                if icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
+                    jump!(fld!(w_c));
                 }
-                op::FSUBCR => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = k - pa;
-                    let local = S::sub(S::sub(S::from_f64(k), S::from_f64(pa)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::sub(S::from_f64(k), sf[x]),
-                        pend[x] + local
-                    );
+            }
+            op::RETF => {
+                let src = fld!(w_a);
+                let v = fr!(src);
+                let rounded = match func.ret {
+                    RetKind::F(ft) => round_to(v, ft),
+                    _ => v,
+                };
+                if trap_nf && !rounded.is_finite() {
+                    return Err(nonfinite_trap(func, src, rounded, pc));
                 }
-                op::FMULC => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = pa * k;
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::mul(sf[x], S::from_f64(k)),
-                        pend[x] + local
-                    );
-                }
-                op::FDIVC => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = pa / k;
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::div(sf[x], S::from_f64(k)),
-                        pend[x] + local
-                    );
-                }
-                op::FDIVCR => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = k / pa;
-                    let local = S::sub(S::div(S::from_f64(k), S::from_f64(pa)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::div(S::from_f64(k), sf[x]),
-                        pend[x] + local
-                    );
-                }
-                op::ICJFI => {
-                    if !icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_a)], fld!(w_b_i16)) {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::ICJTI => {
-                    if icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_a)], fld!(w_b_i16)) {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::RETF => {
-                    let src = fld!(w_a);
-                    let v = f[src];
-                    let rounded = match func.ret {
-                        RetKind::F(ft) => round_to(v, ft),
-                        _ => v,
-                    };
-                    if trap_nf && !rounded.is_finite() {
-                        return Err(crate::vm::nonfinite_trap(func, src, rounded, pc));
-                    }
+                if S::SHADOW {
                     sample!((v - rounded).abs());
-                    let oerr = S::sub(sf[src], S::from_f64(rounded)).to_f64().abs();
-                    break (Some(Value::F(rounded)), Some(sf[src].to_f64()), Some(oerr));
+                    let s = sr!(src);
+                    let err = S::sub(s, S::from_f64(rounded)).to_f64().abs();
+                    *shadow_ret = Some((s.to_f64(), err));
                 }
-                op::RETI => break (Some(Value::I(i[fld!(w_a)])), None, None),
-                op::RETB => break (Some(Value::B(i[fld!(w_a)] != 0)), None, None),
-                op::RETVOID => break (None, None, None),
-                op::TRAPMISSING => return Err(trap(TrapKind::MissingReturn, pc)),
-                _ => {
-                    return Err(trap(
-                        TrapKind::InvalidBytecode(format!("unknown packed opcode {}", fld!(w_op))),
-                        pc,
-                    ))
-                }
+                executed += (pc - block_start + 1) as u64;
+                break Some(Value::F(rounded));
             }
-            pc += 1;
-        };
-        stats.instrs_executed = executed;
-        if executed > budget {
-            return Err(trap(
-                TrapKind::InstrBudgetExhausted { executed },
-                pc.min(len.saturating_sub(1)),
-            ));
-        }
-        Ok(ret)
-    }
-}
-
-fn charge_entry(err: f64, var: u32, var_err: &mut [f64], acc: &mut f64, nonfinite: &mut u64) {
-    if err > 0.0 {
-        if err.is_finite() {
-            *acc += err;
-            if var != 0 {
-                var_err[(var - 1) as usize] += err;
+            op::RETI => {
+                executed += (pc - block_start + 1) as u64;
+                break Some(Value::I(ir!(fld!(w_a))));
             }
-        } else {
-            *nonfinite += 1;
+            op::RETB => {
+                executed += (pc - block_start + 1) as u64;
+                break Some(Value::B(ir!(fld!(w_a)) != 0));
+            }
+            op::RETVOID => {
+                executed += (pc - block_start + 1) as u64;
+                break None;
+            }
+            op::TRAPMISSING => return Err(trap(TrapKind::MissingReturn, pc)),
+            // Unreachable for validated functions; kept safe anyway.
+            _ => {
+                return Err(trap(
+                    TrapKind::InvalidBytecode(format!("unknown packed opcode {}", fld!(w_op))),
+                    pc,
+                ))
+            }
         }
-    } else if err.is_nan() {
-        *nonfinite += 1;
+        pc += 1;
+    };
+    stats.instrs_executed = executed;
+    // Returns are the other budget checkpoint (backward jumps are the
+    // first): a run never reports success past the budget.
+    if executed > budget {
+        return Err(trap(
+            TrapKind::InstrBudgetExhausted { executed },
+            pc.min(len.saturating_sub(1)),
+        ));
     }
+    Ok(ret)
 }
 
 /// Runs one fused shadow call through a fresh machine (convenience entry
@@ -1424,6 +1431,8 @@ mod tests {
 
     #[test]
     fn shadow_primal_is_bit_identical_to_plain_run() {
+        // The shadow lane of the one dispatch loop against its plain lane:
+        // the shadow statements must never change primal state.
         let src = "double f(double x, int n) {
             double s = 0.0;
             for (int i = 0; i < n; i++) { s += sin(x + i * 0.01) * 0.5; }
@@ -1619,6 +1628,7 @@ mod tests {
         assert!(out.diverged());
         assert_eq!(out.divergence_count, 1, "{:?}", out.divergence);
         let p = &out.divergence[0];
+        assert_eq!(p.at_instr, 407, "{p:?}");
         match p.kind {
             DivergenceKind::FCmp {
                 op,
@@ -1667,6 +1677,7 @@ mod tests {
             .iter()
             .find(|p| matches!(p.kind, DivergenceKind::F2I { .. }))
             .expect("F2I divergence point");
+        assert_eq!(p.at_instr, 3, "{p:?}");
         match p.kind {
             DivergenceKind::F2I {
                 primal_int,
@@ -1732,29 +1743,46 @@ mod tests {
 
     #[test]
     fn traps_mirror_the_plain_vm() {
-        let mut p = parse_program("double f(double a[]) { return a[5]; }").unwrap();
-        check_program(&mut p).unwrap();
-        let func = compile_default(&p.functions[0]).unwrap();
-        let err = run_shadow::<f64>(
-            &func,
-            vec![ArgValue::FArr(vec![1.0, 2.0])],
-            &ExecOptions::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err.kind, TrapKind::OobIndex { idx: 5, len: 2 });
-
-        let mut p = parse_program("void f() { while (true) { } }").unwrap();
-        check_program(&mut p).unwrap();
-        let func = compile_default(&p.functions[0]).unwrap();
-        let opts = ExecOptions {
+        // The whole trap — kind (with the budget's `executed`), pc and
+        // span — is the plain VM's, so the shadow statements can neither
+        // move a trap nor change the instruction accounting.
+        let budget = ExecOptions {
             max_instrs: Some(1000),
             ..Default::default()
         };
-        let err = run_shadow::<f64>(&func, vec![], &opts).unwrap_err();
+        let cases: [(&str, Vec<ArgValue>, &ExecOptions); 4] = [
+            (
+                "double f(double a[]) { return a[5]; }",
+                vec![ArgValue::FArr(vec![1.0, 2.0])],
+                &ExecOptions::default(),
+            ),
+            (
+                "int f(int n) { return 1 / n; }",
+                vec![ArgValue::I(0)],
+                &ExecOptions::default(),
+            ),
+            (
+                "double f(double x) { x = x + 1.0; }",
+                vec![ArgValue::F(0.0)],
+                &ExecOptions::default(),
+            ),
+            ("void f() { while (true) { } }", vec![], &budget),
+        ];
+        let mut kinds = Vec::new();
+        for (src, args, opts) in cases {
+            let func = compiled(src, PrecisionMap::empty());
+            let plain = crate::vm::run_with(&func, args.clone(), opts).unwrap_err();
+            let shadow = run_shadow::<f64>(&func, args, opts).unwrap_err();
+            assert_eq!(shadow, plain, "{src}");
+            kinds.push(shadow.kind);
+        }
+        assert_eq!(kinds[0], TrapKind::OobIndex { idx: 5, len: 2 });
+        assert_eq!(kinds[1], TrapKind::DivByZero);
+        assert_eq!(kinds[2], TrapKind::MissingReturn);
         assert!(
-            matches!(err.kind, TrapKind::InstrBudgetExhausted { executed } if executed > 1000),
+            matches!(kinds[3], TrapKind::InstrBudgetExhausted { executed } if executed > 1000),
             "{:?}",
-            err.kind
+            kinds[3]
         );
     }
 

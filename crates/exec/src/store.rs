@@ -26,7 +26,7 @@
 //!   `<32-hex-key>.cfn` file per variant, written atomically (unique
 //!   temp file + `sync_all` + rename) and revalidated on load through
 //!   [`crate::vm::validate_function`] before the function can reach the
-//!   unchecked packed dispatch loops. Anything invalid — bad magic,
+//!   unchecked packed dispatch loop. Anything invalid — bad magic,
 //!   wrong version, checksum mismatch, key mismatch, undecodable word,
 //!   failed validation — is quarantined by renaming the entry to
 //!   `<name>.bad` and counted (`cache.disk.corrupt`), and the caller

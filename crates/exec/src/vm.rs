@@ -17,6 +17,10 @@
 //!   [`Machine::run_reused`] calls allocate nothing after warm-up.
 //! * The convenience entry points [`run`]/[`run_with`] dispatch through a
 //!   thread-local cached machine and inherit that reuse transparently.
+//! * The dispatch loop itself is [`crate::shadow`]'s: the VM runs it
+//!   over a zero-sized shadow lane, whose instantiation contains only
+//!   the primal statements, so the plain VM and the shadow oracle
+//!   execute one loop.
 //! * Register operands are bounds-validated **once per call**
 //!   ([`validate_function`]) and then accessed unchecked in the dispatch
 //!   loop; array *element* indices remain checked on every access (they
@@ -30,9 +34,10 @@
 //!   machine per thread).
 
 use crate::bytecode::*;
-use crate::intrinsics::{eval1, eval2, ApproxConfig};
+use crate::intrinsics::ApproxConfig;
 use crate::pack::PackedCode;
 use crate::precision::round_to;
+use crate::shadow::{dispatch, Lane, PrimalOnly};
 use crate::tape::{Tape, TapeError};
 use crate::value::{ArgValue, Value};
 use chef_ir::span::Span;
@@ -89,8 +94,8 @@ pub struct ExecOptions {
     /// iteration increments a per-instruction counter, surfaced as
     /// [`CallOutcome::profile`] / `ShadowOutcome::profile`
     /// ([`ExecProfile`]). The flag selects a separately monomorphized
-    /// copy of each dispatch loop (`<const PROFILE: bool>`), so the
-    /// off path's machine code is unchanged — the `telemetry/overhead`
+    /// copy of the dispatch loop (`<const PROFILE: bool>`, per lane), so
+    /// the off path's machine code is unchanged — the `telemetry/overhead`
     /// bench group pins the off-mode ratio at ≤1.02×.
     pub profile: bool,
 }
@@ -120,14 +125,14 @@ impl ExecOptions {
 }
 
 /// Instructions between wall-clock reads when [`ExecOptions::deadline`]
-/// is armed. The dispatch loops compare `executed` against the next
+/// is armed. The dispatch loop compares `executed` against the next
 /// probe point at every taken backward jump (one register compare, the
-/// same checkpoint the instruction budget uses) and only touch
+/// same checkpoint the instruction budget uses) and only touches
 /// `Instant::now()` when the stride is crossed, so a deadline can be
 /// overshot by at most one stride of work plus one straight-line block.
 pub const DEADLINE_STRIDE: u64 = 8 * 1024;
 
-/// Amortized deadline probe shared by both dispatch loops (VM and
+/// Amortized deadline probe of the dispatch loop (both lanes, plain and
 /// shadow). Returns `true` when the armed deadline has passed; otherwise
 /// advances `next` by one stride. Cold: reached at most once per
 /// [`DEADLINE_STRIDE`] executed instructions, and never when no deadline
@@ -253,7 +258,7 @@ impl ExecStats {
 /// dispatch-loop iterations that executed `func.instrs[pc]` (fused
 /// superinstructions count once, like [`ExecStats::instrs_executed`]);
 /// on a successful run the counts sum to exactly `instrs_executed` in
-/// both dispatch loops (VM and shadow).
+/// both lanes of the dispatch loop (plain and shadow).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecProfile {
     /// Execution count per instruction index, sized `func.instrs.len()`.
@@ -400,11 +405,11 @@ pub(crate) fn invalid_bytecode(msg: String) -> Trap {
     }
 }
 
-/// Validates `func` and returns the packed words the dispatch loops run:
+/// Validates `func` and returns the packed words the dispatch loop runs:
 /// the function's own, or — for a hand-built function that carries none
 /// (tests, or [`crate::cfg::optimize`] output used directly) — words
 /// packed here on entry. A function without a packed encoding is
-/// [`TrapKind::InvalidBytecode`]: the dispatch loops run only words.
+/// [`TrapKind::InvalidBytecode`]: the dispatch loop runs only words.
 pub(crate) fn entry_code(func: &CompiledFunction) -> Result<Cow<'_, PackedCode>, Trap> {
     validate_function(func).map_err(invalid_bytecode)?;
     match &func.packed {
@@ -421,7 +426,7 @@ pub(crate) fn entry_code(func: &CompiledFunction) -> Result<Cow<'_, PackedCode>,
 /// Builds the [`TrapKind::NonFinite`] trap for a non-finite value written
 /// to float register `dst` by the instruction at `pc`. Cold: only reached
 /// when [`ExecOptions::trap_on_nonfinite`] fires, so the mnemonic/name
-/// string work stays off the dispatch loops' hot path.
+/// string work stays off the dispatch loop's hot path.
 #[cold]
 #[inline(never)]
 pub(crate) fn nonfinite_trap(func: &CompiledFunction, dst: usize, value: f64, pc: usize) -> Trap {
@@ -721,33 +726,10 @@ impl Machine {
         if opts.trap_on_nonfinite {
             check_params_finite(func, &self.f, &self.a)?;
         }
-        // Profiling selects a separately monomorphized loop so the
-        // default path carries no per-iteration check.
-        let ret = if opts.profile {
-            exec_loop::<true>(
-                func,
-                code,
-                opts,
-                &mut self.f,
-                &mut self.i,
-                &mut self.a,
-                &mut self.tape,
-                &mut self.stats,
-                &mut self.prof,
-            )?
-        } else {
-            exec_loop::<false>(
-                func,
-                code,
-                opts,
-                &mut self.f,
-                &mut self.i,
-                &mut self.a,
-                &mut self.tape,
-                &mut self.stats,
-                &mut self.prof,
-            )?
-        };
+        // The plain lane of the one dispatch loop: the zero-sized
+        // `PrimalOnly` shadow type compiles every shadow statement away.
+        let mut lane = Lane::<PrimalOnly>::new();
+        let ret = dispatch(func, code, opts, self, &mut lane)?;
         self.stats.tape_peak_bytes = self.tape.peak_bytes();
         self.stats.tape_total_pushes = self.tape.total_pushes();
         let args = self.unbind_args(func);
@@ -1045,7 +1027,7 @@ pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
 }
 
 /// Checks that `p` is word-for-word equivalent to the (validated) enum
-/// stream of `func`: the dispatch loops read operand fields unchecked,
+/// stream of `func`: the dispatch loop reads operand fields unchecked,
 /// and this equivalence is what carries the register/target/pool bounds
 /// proof over to the words.
 fn validate_packed(func: &CompiledFunction, p: &PackedCode) -> Result<(), String> {
@@ -1067,484 +1049,6 @@ fn validate_packed(func: &CompiledFunction, p: &PackedCode) -> Result<(), String
         }
     }
     Ok(())
-}
-
-/// The dispatch loop: the hot path of the engine, and its only loop.
-///
-/// Executes the packed words of [`crate::pack`]: fetches one 8-byte word
-/// per instruction, decodes operands with shifts, reads wide constants
-/// from the hoisted pool, and dispatches on a dense `u8` opcode the
-/// compiler lowers to a jump table. The enum [`Instr`] stream is the
-/// reference the words were validated against, never executed itself.
-///
-/// SAFETY of the unchecked accesses: [`entry_code`] proved (a) every enum
-/// operand in range and (b) every packed word decodes to its enum
-/// instruction, so the fields extracted here are exactly the validated
-/// operands; pool indices were bounds-checked by the decode; jump targets
-/// are ≤ `words.len()` and the fetch breaks at `len`.
-#[allow(clippy::too_many_arguments)]
-#[allow(unused_unsafe)] // `fld!` is an unsafe load and composes with the access macros
-#[inline(never)] // own code-layout home: keeps dispatch-loop timing stable
-fn exec_loop<const PROFILE: bool>(
-    func: &CompiledFunction,
-    code: &PackedCode,
-    opts: &ExecOptions,
-    f: &mut [f64],
-    i: &mut [i64],
-    a: &mut [ArraySlot],
-    tape: &mut Tape,
-    stats: &mut ExecStats,
-    prof: &mut [u64],
-) -> Result<Option<Value>, Trap> {
-    use crate::pack::{
-        cmp_from, op, ty_from, w_a, w_b, w_b_i16, w_c, w_c_i16, w_d, w_d_i8, w_op, INTRINSICS,
-    };
-    let words = &code.words[..];
-    let pool = &code.pool[..];
-    let len = words.len();
-    let approx = &opts.approx;
-    let budget = opts.max_instrs.unwrap_or(u64::MAX);
-    let trap_nf = opts.trap_on_nonfinite;
-    let deadline = opts.deadline;
-    let mut deadline_at: u64 = if deadline.is_some() {
-        DEADLINE_STRIDE
-    } else {
-        u64::MAX
-    };
-    // Executed-instruction accounting is block-granular: instead of a
-    // loop-carried `executed += 1`, the straight-line run since
-    // `block_start` is added at every taken jump and at returns — the
-    // same program points where the budget is checked, so both the final
-    // count and the budget semantics are identical to a per-instruction
-    // per-instruction accounting.
-    let mut executed: u64 = 0;
-    let mut block_start: usize = 0;
-    let mut pc: usize = 0;
-
-    let trap = |kind: TrapKind, pc: usize| Trap {
-        kind,
-        pc,
-        span: func.spans.get(pc).copied().unwrap_or(Span::DUMMY),
-    };
-
-    // Register/pool access macros over raw usize fields. SAFETY: see the
-    // function-level comment.
-    macro_rules! fr {
-        ($r:expr) => {
-            unsafe { *f.get_unchecked($r) }
-        };
-    }
-    macro_rules! fw {
-        ($r:expr, $v:expr) => {{
-            let v = $v;
-            if trap_nf && !v.is_finite() {
-                return Err(nonfinite_trap(func, $r, v, pc));
-            }
-            unsafe { *f.get_unchecked_mut($r) = v };
-        }};
-    }
-    macro_rules! ir {
-        ($r:expr) => {
-            unsafe { *i.get_unchecked($r) }
-        };
-    }
-    macro_rules! iw {
-        ($r:expr, $v:expr) => {{
-            let v = $v;
-            unsafe { *i.get_unchecked_mut($r) = v };
-        }};
-    }
-    macro_rules! aslot {
-        ($r:expr) => {
-            unsafe { &mut *a.get_unchecked_mut($r) }
-        };
-    }
-    // Operand-field macros: direct narrow loads from the word stream,
-    // addressed by `pc` alone. SAFETY: the loop head checks `pc < len`.
-    macro_rules! fld {
-        ($f:ident) => {
-            unsafe { $f(words, pc) }
-        };
-    }
-    macro_rules! jump {
-        ($target:expr) => {{
-            let t = $target;
-            executed += (pc - block_start + 1) as u64;
-            if t <= pc {
-                if executed > budget {
-                    return Err(trap(TrapKind::InstrBudgetExhausted { executed }, pc));
-                }
-                if executed >= deadline_at && deadline_probe(deadline, executed, &mut deadline_at) {
-                    return Err(trap(TrapKind::DeadlineExceeded { executed }, pc));
-                }
-            }
-            block_start = t;
-            pc = t;
-            continue;
-        }};
-    }
-
-    let ret: Option<Value> = loop {
-        if pc >= len {
-            executed += (pc - block_start) as u64;
-            break None; // fall off the end: treated like RetVoid
-        }
-        // Per-pc profiling stays per-iteration even though `executed` is
-        // block-granular here: one increment per dispatched word sums to
-        // the same total the block accounting reports.
-        if PROFILE {
-            prof[pc] += 1;
-        }
-        match fld!(w_op) {
-            op::FCONST => fw!(
-                fld!(w_a),
-                f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_b)) })
-            ),
-            op::FMOV => fw!(fld!(w_a), fr!(fld!(w_b))),
-            op::FADD => fw!(fld!(w_a), fr!(fld!(w_b)) + fr!(fld!(w_c))),
-            op::FSUB => fw!(fld!(w_a), fr!(fld!(w_b)) - fr!(fld!(w_c))),
-            op::FMUL => fw!(fld!(w_a), fr!(fld!(w_b)) * fr!(fld!(w_c))),
-            op::FDIV => fw!(fld!(w_a), fr!(fld!(w_b)) / fr!(fld!(w_c))),
-            op::FNEG => fw!(fld!(w_a), -fr!(fld!(w_b))),
-            op::FROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FINTR1 => {
-                let intr = unsafe { *INTRINSICS.get_unchecked(fld!(w_d)) };
-                fw!(fld!(w_a), eval1(intr, fr!(fld!(w_b)), approx));
-            }
-            op::FINTR2 => {
-                let intr = unsafe { *INTRINSICS.get_unchecked(fld!(w_d)) };
-                fw!(
-                    fld!(w_a),
-                    eval2(intr, fr!(fld!(w_b)), fr!(fld!(w_c)), approx)
-                );
-            }
-            op::FCMP => iw!(
-                fld!(w_a),
-                fcmp(cmp_from(fld!(w_d) as u8), fr!(fld!(w_b)), fr!(fld!(w_c))) as i64
-            ),
-            op::FLOAD => {
-                let index = ir!(fld!(w_c));
-                match aslot!(fld!(w_b)) {
-                    ArraySlot::F(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => fw!(fld!(w_a), x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::FSTORE => {
-                let index = ir!(fld!(w_b));
-                let v = fr!(fld!(w_c));
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::F2I => iw!(fld!(w_a), fr!(fld!(w_b)) as i64),
-            op::I2F => fw!(fld!(w_a), ir!(fld!(w_b)) as f64),
-
-            op::ICONST => iw!(fld!(w_a), fld!(w_b_i16)),
-            op::ICONSTP => iw!(fld!(w_a), unsafe { *pool.get_unchecked(fld!(w_b)) } as i64),
-            op::IMOV => iw!(fld!(w_a), ir!(fld!(w_b))),
-            op::IADD => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(ir!(fld!(w_c)))),
-            op::ISUB => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_sub(ir!(fld!(w_c)))),
-            op::IMUL => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_mul(ir!(fld!(w_c)))),
-            op::IDIV => {
-                let d = ir!(fld!(w_c));
-                if d == 0 {
-                    return Err(trap(TrapKind::DivByZero, pc));
-                }
-                iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_div(d));
-            }
-            op::IREM => {
-                let d = ir!(fld!(w_c));
-                if d == 0 {
-                    return Err(trap(TrapKind::DivByZero, pc));
-                }
-                iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_rem(d));
-            }
-            op::INEG => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_neg()),
-            op::ICMP => iw!(
-                fld!(w_a),
-                icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_b)), ir!(fld!(w_c))) as i64
-            ),
-            op::ILOAD => {
-                let index = ir!(fld!(w_c));
-                match aslot!(fld!(w_b)) {
-                    ArraySlot::I(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => iw!(fld!(w_a), x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::ISTORE => {
-                let index = ir!(fld!(w_b));
-                let v = ir!(fld!(w_c));
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::I(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::BNOT => iw!(fld!(w_a), (ir!(fld!(w_b)) == 0) as i64),
-
-            op::JMP => jump!(fld!(w_c)),
-            op::JMPF => {
-                if ir!(fld!(w_a)) == 0 {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::JMPT => {
-                if ir!(fld!(w_a)) != 0 {
-                    jump!(fld!(w_c));
-                }
-            }
-
-            op::TPUSHF => {
-                if let Err(e) = tape.push_f(fr!(fld!(w_a))) {
-                    return Err(trap(TrapKind::Tape(e), pc));
-                }
-            }
-            op::TPOPF => match tape.pop_f() {
-                Ok(v) => fw!(fld!(w_a), v),
-                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-            },
-            op::TPUSHI => {
-                if let Err(e) = tape.push_i(ir!(fld!(w_a))) {
-                    return Err(trap(TrapKind::Tape(e), pc));
-                }
-            }
-            op::TPOPI => match tape.pop_i() {
-                Ok(v) => iw!(fld!(w_a), v),
-                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-            },
-
-            op::ALLOCF => {
-                let n = ir!(fld!(w_b));
-                if n < 0 {
-                    return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                }
-                stats.local_array_bytes += n as usize * 8;
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::F(v) | ArraySlot::StaleF(v) => {
-                        v.clear();
-                        v.resize(n as usize, 0.0);
-                        let buf = std::mem::take(v);
-                        *aslot!(fld!(w_a)) = ArraySlot::F(buf);
-                    }
-                    slot => *slot = ArraySlot::F(vec![0.0; n as usize]),
-                }
-            }
-            op::ALLOCI => {
-                let n = ir!(fld!(w_b));
-                if n < 0 {
-                    return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                }
-                stats.local_array_bytes += n as usize * 8;
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::I(v) | ArraySlot::StaleI(v) => {
-                        v.clear();
-                        v.resize(n as usize, 0);
-                        let buf = std::mem::take(v);
-                        *aslot!(fld!(w_a)) = ArraySlot::I(buf);
-                    }
-                    slot => *slot = ArraySlot::I(vec![0; n as usize]),
-                }
-            }
-
-            op::FMULADD => {
-                // Two separate roundings, exactly like the unfused pair.
-                let p = fr!(fld!(w_b)) * fr!(fld!(w_c));
-                fw!(fld!(w_a), p + fr!(fld!(w_d)));
-            }
-            op::FADDROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)) + fr!(fld!(w_c)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FSUBROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)) - fr!(fld!(w_c)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FMULROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)) * fr!(fld!(w_c)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FDIVROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)) / fr!(fld!(w_c)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FINTR1ROUND => {
-                let d = fld!(w_d);
-                let intr = unsafe { *INTRINSICS.get_unchecked(d & 63) };
-                fw!(
-                    fld!(w_a),
-                    round_to(eval1(intr, fr!(fld!(w_b)), approx), ty_from((d >> 6) as u8))
-                );
-            }
-            op::FINTR2ROUND => {
-                let d = fld!(w_d);
-                let intr = unsafe { *INTRINSICS.get_unchecked(d & 63) };
-                fw!(
-                    fld!(w_a),
-                    round_to(
-                        eval2(intr, fr!(fld!(w_b)), fr!(fld!(w_c)), approx),
-                        ty_from((d >> 6) as u8)
-                    )
-                );
-            }
-            op::FLOADOFF => {
-                let index = ir!(fld!(w_c)).wrapping_add(fld!(w_d_i8));
-                match aslot!(fld!(w_b)) {
-                    ArraySlot::F(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => fw!(fld!(w_a), x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::FSTOREOFF => {
-                let index = ir!(fld!(w_b)).wrapping_add(fld!(w_d_i8));
-                let v = fr!(fld!(w_c));
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::IADDIMM => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(fld!(w_c_i16))),
-            op::IADDIMMP => iw!(
-                fld!(w_a),
-                ir!(fld!(w_b)).wrapping_add(unsafe { *pool.get_unchecked(fld!(w_c)) } as i64)
-            ),
-            op::FCJF => {
-                if !fcmp(cmp_from(fld!(w_d) as u8), fr!(fld!(w_a)), fr!(fld!(w_b))) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::FCJT => {
-                if fcmp(cmp_from(fld!(w_d) as u8), fr!(fld!(w_a)), fr!(fld!(w_b))) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::ICJF => {
-                if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), ir!(fld!(w_b))) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::ICJT => {
-                if icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), ir!(fld!(w_b))) {
-                    jump!(fld!(w_c));
-                }
-            }
-
-            op::FADDC => fw!(
-                fld!(w_a),
-                fr!(fld!(w_b)) + f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) })
-            ),
-            op::FSUBC => fw!(
-                fld!(w_a),
-                fr!(fld!(w_b)) - f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) })
-            ),
-            op::FSUBCR => fw!(
-                fld!(w_a),
-                f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) }) - fr!(fld!(w_b))
-            ),
-            op::FMULC => fw!(
-                fld!(w_a),
-                fr!(fld!(w_b)) * f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) })
-            ),
-            op::FDIVC => fw!(
-                fld!(w_a),
-                fr!(fld!(w_b)) / f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) })
-            ),
-            op::FDIVCR => fw!(
-                fld!(w_a),
-                f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) }) / fr!(fld!(w_b))
-            ),
-            op::ICJFI => {
-                if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::ICJTI => {
-                if icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::RETF => {
-                let v = fr!(fld!(w_a));
-                let v = match func.ret {
-                    RetKind::F(ft) => round_to(v, ft),
-                    _ => v,
-                };
-                if trap_nf && !v.is_finite() {
-                    return Err(nonfinite_trap(func, fld!(w_a), v, pc));
-                }
-                executed += (pc - block_start + 1) as u64;
-                break Some(Value::F(v));
-            }
-            op::RETI => {
-                executed += (pc - block_start + 1) as u64;
-                break Some(Value::I(ir!(fld!(w_a))));
-            }
-            op::RETB => {
-                executed += (pc - block_start + 1) as u64;
-                break Some(Value::B(ir!(fld!(w_a)) != 0));
-            }
-            op::RETVOID => {
-                executed += (pc - block_start + 1) as u64;
-                break None;
-            }
-            op::TRAPMISSING => return Err(trap(TrapKind::MissingReturn, pc)),
-            // Unreachable for validated functions; kept safe anyway.
-            _ => {
-                return Err(trap(
-                    TrapKind::InvalidBytecode(format!("unknown packed opcode {}", fld!(w_op))),
-                    pc,
-                ))
-            }
-        }
-        pc += 1;
-    };
-    stats.instrs_executed = executed;
-    // Returns are the other budget checkpoint (backward jumps are the
-    // first): a run never reports success past the budget.
-    if executed > budget {
-        return Err(trap(
-            TrapKind::InstrBudgetExhausted { executed },
-            pc.min(len.saturating_sub(1)),
-        ));
-    }
-    Ok(ret)
 }
 
 #[inline]
@@ -2171,7 +1675,7 @@ mod tests {
         let err = run(&f, vec![]).unwrap_err();
         assert!(matches!(err.kind, TrapKind::InvalidBytecode(_)), "{err:?}");
         // In-range operands without a packed encoding (an offset outside
-        // the word's i8 field) are invalid too: the dispatch loops run
+        // the word's i8 field) are invalid too: the dispatch loop runs
         // only packed words.
         let f = CompiledFunction {
             name: "wide_off".into(),

@@ -236,8 +236,9 @@ proptest! {
             max_instrs: Some(10_000_000),
             ..Default::default()
         };
-        // The shadow loop replays the VM's primal stream: identical
-        // results and identical dispatch counts.
+        // The shadow and plain lanes of the one dispatch loop share the
+        // primal statements, and shadow statements never write primal
+        // state: identical results and identical dispatch counts.
         let a = run_with(&func, args.clone(), &opts).unwrap_or_else(|t| panic!("{t}\n{src}"));
         let sa = run_shadow::<f64>(&func, args, &opts)
             .unwrap_or_else(|t| panic!("{t}\n{src}"));

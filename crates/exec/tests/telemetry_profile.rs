@@ -1,12 +1,12 @@
 //! Telemetry-layer integration tests.
 //!
 //! The per-pc profiler is an *observer*: with `ExecOptions::profile` on,
-//! every dispatch loop increments one slot per executed instruction, so
+//! the dispatch loop increments one slot per executed instruction, so
 //! on a successful run the profile must sum to exactly
-//! `ExecStats::instrs_executed` — in the VM loop (whose `executed`
-//! accounting is block-granular) and in the fused-shadow loop — and the
+//! `ExecStats::instrs_executed` — whose accounting is block-granular —
+//! in both lanes of the loop (plain VM and fused shadow), and the
 //! shadow profile must match the plain VM profile on the same kernel
-//! (the shadow pass replays the primal instruction stream 1:1).
+//! (the shadow statements never change the primal instruction stream).
 //!
 //! Span coverage: `run_batch_parallel_in` opens one `exec.worker` span
 //! per pool checkout and one `exec.run` span per argument set; the run
@@ -103,8 +103,9 @@ fn profiled_counts_match_executed_on_all_kernels() {
     }
 }
 
-/// The fused-shadow loops replay the primal stream 1:1, so the shadow
-/// profile equals the plain VM profile on the same compiled function —
+/// The shadow lane runs the plain lane's primal statements and only
+/// reads primal state, so the shadow profile equals the plain VM profile
+/// on the same compiled function —
 /// and is indexed like `samples`, making `pc_counts[pc] * samples[pc]`
 /// a frequency-times-error hotness signal.
 #[test]
