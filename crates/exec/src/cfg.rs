@@ -65,9 +65,14 @@
 //! dominate its source — impossible to emit from KernelC but possible
 //! in hand-built bytecode) makes the pass bail cleanly: no hoisting,
 //! compaction only.
+//!
+//! Block leaders, edges, liveness, hoist renaming, jump remapping and
+//! compaction read every operand and target through the operand table
+//! in [`crate::bytecode`] (the one fusion and the validator use), so
+//! this tier holds no per-opcode operand layout; only the semantic
+//! tables (hoist class, guard polarity) are its own.
 
-use crate::bytecode::{CompiledFunction, Instr, ParamKind};
-use crate::fuse::{for_each_read, successors, write_of, Reg};
+use crate::bytecode::{CompiledFunction, Instr, ParamSpec, Reg, RegClass};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -111,29 +116,14 @@ impl Cfg {
         if n > 0 {
             leader[0] = true;
         }
-        let mut out = [None, None];
         for (pc, ins) in func.instrs.iter().enumerate() {
-            let cont = successors(ins, pc, &mut out);
-            let is_term = !cont
-                || matches!(
-                    ins,
-                    Instr::Jmp { .. }
-                        | Instr::JmpIfFalse { .. }
-                        | Instr::JmpIfTrue { .. }
-                        | Instr::FCmpJmpFalse { .. }
-                        | Instr::FCmpJmpTrue { .. }
-                        | Instr::ICmpJmpFalse { .. }
-                        | Instr::ICmpJmpTrue { .. }
-                        | Instr::ICmpImmJmpFalse { .. }
-                        | Instr::ICmpImmJmpTrue { .. }
-                );
-            if is_term {
+            if ins.is_exit() || ins.target().is_some() {
                 if pc + 1 < n {
                     leader[pc + 1] = true;
                 }
                 // Jump targets start blocks; the fall-through successor
                 // of a straight-line instruction does not.
-                for s in out.iter().flatten() {
+                for s in ins.successors(pc).iter().flatten() {
                     if *s < n {
                         leader[*s] = true;
                     }
@@ -170,11 +160,9 @@ impl Cfg {
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for (b, blk) in blocks.iter().enumerate() {
             let last = blk.range.end - 1;
-            if successors(&func.instrs[last], last, &mut out) {
-                for s in out.iter().flatten() {
-                    if *s < n {
-                        edges.push((b, block_of[*s]));
-                    }
+            for s in func.instrs[last].successors(last).iter().flatten() {
+                if *s < n {
+                    edges.push((b, block_of[*s]));
                 }
             }
         }
@@ -382,165 +370,6 @@ pub struct CfgStats {
 }
 
 // ---------------------------------------------------------------------
-// Register visitors (shared by use-rewriting and compaction)
-// ---------------------------------------------------------------------
-
-/// Register file a mutable operand lives in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RegClass {
-    F,
-    I,
-    A,
-}
-
-/// Calls `f(class, &mut index, is_write)` for every register operand of
-/// `ins`, reads and writes alike (arrays included).
-fn visit_regs_mut(ins: &mut Instr, f: &mut impl FnMut(RegClass, &mut u32, bool)) {
-    use Instr::*;
-    use RegClass::*;
-    match ins {
-        FConst { dst, .. } => f(F, &mut dst.0, true),
-        FMov { dst, src } | FNeg { dst, src } | FRound { dst, src, .. } => {
-            f(F, &mut src.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FAdd { dst, a, b }
-        | FSub { dst, a, b }
-        | FMul { dst, a, b }
-        | FDiv { dst, a, b }
-        | FAddRound { dst, a, b, .. }
-        | FSubRound { dst, a, b, .. }
-        | FMulRound { dst, a, b, .. }
-        | FDivRound { dst, a, b, .. }
-        | FIntr2 { dst, a, b, .. }
-        | FIntr2Round { dst, a, b, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut b.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FIntr1 { dst, a, .. } | FIntr1Round { dst, a, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FMulAdd { dst, a, b, c } => {
-            f(F, &mut a.0, false);
-            f(F, &mut b.0, false);
-            f(F, &mut c.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FAddC { dst, a, .. }
-        | FSubC { dst, a, .. }
-        | FSubCR { dst, a, .. }
-        | FMulC { dst, a, .. }
-        | FDivC { dst, a, .. }
-        | FDivCR { dst, a, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FCmp { dst, a, b, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut b.0, false);
-            f(I, &mut dst.0, true);
-        }
-        FLoad { dst, arr, idx } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut idx.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FStore { arr, idx, src } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut idx.0, false);
-            f(F, &mut src.0, false);
-        }
-        FLoadOff { dst, arr, base, .. } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut base.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FStoreOff { arr, base, src, .. } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut base.0, false);
-            f(F, &mut src.0, false);
-        }
-        F2I { dst, src } => {
-            f(F, &mut src.0, false);
-            f(I, &mut dst.0, true);
-        }
-        I2F { dst, src } => {
-            f(I, &mut src.0, false);
-            f(F, &mut dst.0, true);
-        }
-        IConst { dst, .. } => f(I, &mut dst.0, true),
-        IMov { dst, src } | INeg { dst, src } | BNot { dst, src } => {
-            f(I, &mut src.0, false);
-            f(I, &mut dst.0, true);
-        }
-        IAdd { dst, a, b }
-        | ISub { dst, a, b }
-        | IMul { dst, a, b }
-        | IDiv { dst, a, b }
-        | IRem { dst, a, b }
-        | ICmp { dst, a, b, .. } => {
-            f(I, &mut a.0, false);
-            f(I, &mut b.0, false);
-            f(I, &mut dst.0, true);
-        }
-        IAddImm { dst, a, .. } => {
-            f(I, &mut a.0, false);
-            f(I, &mut dst.0, true);
-        }
-        ILoad { dst, arr, idx } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut idx.0, false);
-            f(I, &mut dst.0, true);
-        }
-        IStore { arr, idx, src } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut idx.0, false);
-            f(I, &mut src.0, false);
-        }
-        Jmp { .. } | RetVoid | TrapMissingReturn => {}
-        JmpIfFalse { cond, .. } | JmpIfTrue { cond, .. } => f(I, &mut cond.0, false),
-        FCmpJmpFalse { a, b, .. } | FCmpJmpTrue { a, b, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut b.0, false);
-        }
-        ICmpJmpFalse { a, b, .. } | ICmpJmpTrue { a, b, .. } => {
-            f(I, &mut a.0, false);
-            f(I, &mut b.0, false);
-        }
-        ICmpImmJmpFalse { a, .. } | ICmpImmJmpTrue { a, .. } => f(I, &mut a.0, false),
-        TPushF { src } => f(F, &mut src.0, false),
-        TPopF { dst } => f(F, &mut dst.0, true),
-        TPushI { src } => f(I, &mut src.0, false),
-        TPopI { dst } => f(I, &mut dst.0, true),
-        AllocF { arr, len } | AllocI { arr, len } => {
-            f(I, &mut len.0, false);
-            f(A, &mut arr.0, true);
-        }
-        RetF { src } => f(F, &mut src.0, false),
-        RetI { src } | RetB { src } => f(I, &mut src.0, false),
-    }
-}
-
-/// The jump-target field of `ins`, if it has one.
-fn target_mut(ins: &mut Instr) -> Option<&mut u32> {
-    use Instr::*;
-    match ins {
-        Jmp { target }
-        | JmpIfFalse { target, .. }
-        | JmpIfTrue { target, .. }
-        | FCmpJmpFalse { target, .. }
-        | FCmpJmpTrue { target, .. }
-        | ICmpJmpFalse { target, .. }
-        | ICmpJmpTrue { target, .. }
-        | ICmpImmJmpFalse { target, .. }
-        | ICmpImmJmpTrue { target, .. } => Some(target),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------
 // LICM
 // ---------------------------------------------------------------------
 
@@ -623,36 +452,29 @@ impl Liveness {
         let mut ue = vec![HashSet::new(); nb];
         let mut def = vec![HashSet::new(); nb];
         let mut exits = vec![false; nb];
-        let mut out = [None, None];
         for (b, blk) in cfg.blocks.iter().enumerate() {
             for pc in blk.range.clone() {
                 let ins = &func.instrs[pc];
-                for_each_read(ins, |r| {
+                ins.reads(|r| {
                     if !def[b].contains(&r) {
                         ue[b].insert(r);
                     }
                 });
-                if let Some(w) = write_of(ins) {
+                if let Some(w) = ins.write() {
                     def[b].insert(w);
                 }
             }
-            let last = blk.range.end - 1;
-            exits[b] = !successors(&func.instrs[last], last, &mut out);
+            exits[b] = func.instrs[blk.range.end - 1].is_exit();
         }
-        // Parameter home registers are read back by `unbind_args` after
-        // the run: keep them live at every function exit.
-        let mut param_live: HashSet<Reg> = HashSet::new();
-        for p in &func.params {
-            match p.kind {
-                ParamKind::F(_) => {
-                    param_live.insert(Reg::F(p.reg));
-                }
-                ParamKind::I | ParamKind::B => {
-                    param_live.insert(Reg::I(p.reg));
-                }
-                ParamKind::FArr(_) | ParamKind::IArr => {}
-            }
-        }
+        // Scalar parameter home registers are read back by `unbind_args`
+        // after the run: keep them live at every function exit. (Like
+        // `reads`/`write`, liveness tracks the scalar files only.)
+        let param_live: HashSet<Reg> = func
+            .params
+            .iter()
+            .map(ParamSpec::home)
+            .filter(|&(class, _)| class != RegClass::A)
+            .collect();
         let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); nb];
         let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); nb];
         let mut changed = true;
@@ -698,15 +520,18 @@ fn synthesize_guard(
     let t_pc = hb.range.end - 1;
     let ins = &func.instrs[t_pc];
     let in_loop = |b: usize| lp.blocks.binary_search(&b).is_ok();
-    let target = match ins {
-        JmpIfFalse { target, .. }
-        | JmpIfTrue { target, .. }
-        | ICmpJmpFalse { target, .. }
-        | ICmpJmpTrue { target, .. }
-        | ICmpImmJmpFalse { target, .. }
-        | ICmpImmJmpTrue { target, .. } => *target as usize,
-        _ => return None, // unconditional, float-compare, or exit
+    // The exit test with its polarity flipped. Only int tests guard:
+    // unconditional, float-compare and exit terminators return `None`.
+    let flipped = match *ins {
+        JmpIfFalse { cond, target } => JmpIfTrue { cond, target },
+        JmpIfTrue { cond, target } => JmpIfFalse { cond, target },
+        ICmpJmpFalse { op, a, b, target } => ICmpJmpTrue { op, a, b, target },
+        ICmpJmpTrue { op, a, b, target } => ICmpJmpFalse { op, a, b, target },
+        ICmpImmJmpFalse { op, a, imm, target } => ICmpImmJmpTrue { op, a, imm, target },
+        ICmpImmJmpTrue { op, a, imm, target } => ICmpImmJmpFalse { op, a, imm, target },
+        _ => return None,
     };
+    let target = ins.target()? as usize;
     let n = func.instrs.len();
     let taken_in = target < n && in_loop(cfg.block_of[target]);
     let fall_in = t_pc + 1 < n && in_loop(cfg.block_of[t_pc + 1]);
@@ -717,63 +542,20 @@ fn synthesize_guard(
     // The guard reads its operands at the preheader, before the header
     // prefix runs; they must be untouched by that prefix.
     let mut operands: Vec<Reg> = Vec::new();
-    for_each_read(ins, |r| operands.push(r));
+    ins.reads(|r| operands.push(r));
     for pc in hb.range.start..t_pc {
-        if let Some(w) = write_of(&func.instrs[pc]) {
+        if let Some(w) = func.instrs[pc].write() {
             if operands.contains(&w) {
                 return None;
             }
         }
     }
-    // Retarget (and flip, when the exit is on the fall-through side) so
-    // the guard jumps to the relocated header iff the loop exits. The
-    // placeholder target 0 is patched by the caller once the preheader
-    // size is known.
-    let guard = if !taken_in {
-        // Taken side exits: same polarity.
-        let mut g = ins.clone();
-        *target_mut(&mut g).unwrap() = 0;
-        g
-    } else {
-        // Fall-through exits: flip the branch polarity.
-        let mut g = match ins {
-            JmpIfFalse { cond, .. } => JmpIfTrue {
-                cond: *cond,
-                target: 0,
-            },
-            JmpIfTrue { cond, .. } => JmpIfFalse {
-                cond: *cond,
-                target: 0,
-            },
-            ICmpJmpFalse { op, a, b, .. } => ICmpJmpTrue {
-                op: *op,
-                a: *a,
-                b: *b,
-                target: 0,
-            },
-            ICmpJmpTrue { op, a, b, .. } => ICmpJmpFalse {
-                op: *op,
-                a: *a,
-                b: *b,
-                target: 0,
-            },
-            ICmpImmJmpFalse { op, a, imm, .. } => ICmpImmJmpTrue {
-                op: *op,
-                a: *a,
-                imm: *imm,
-                target: 0,
-            },
-            ICmpImmJmpTrue { op, a, imm, .. } => ICmpImmJmpFalse {
-                op: *op,
-                a: *a,
-                imm: *imm,
-                target: 0,
-            },
-            _ => unreachable!(),
-        };
-        let _ = target_mut(&mut g);
-        g
-    };
+    // The guard jumps to the relocated header iff the loop exits: same
+    // polarity when the taken side exits, flipped when the fall-through
+    // does. The placeholder target 0 is patched by the caller once the
+    // preheader size is known.
+    let mut guard = if taken_in { flipped } else { ins.clone() };
+    *guard.target_mut()? = 0;
     Some((guard, t_pc))
 }
 
@@ -795,27 +577,16 @@ fn plan_loop(
     let mut loop_writes: HashMap<Reg, u32> = HashMap::new();
     for &b in &lp.blocks {
         for pc in cfg.blocks[b].range.clone() {
-            if let Some(w) = write_of(&func.instrs[pc]) {
+            if let Some(w) = func.instrs[pc].write() {
                 *loop_writes.entry(w).or_insert(0) += 1;
             }
         }
     }
     let mut read_sites: HashMap<Reg, Vec<usize>> = HashMap::new();
     for (pc, ins) in func.instrs.iter().enumerate() {
-        for_each_read(ins, |r| read_sites.entry(r).or_default().push(pc));
+        ins.reads(|r| read_sites.entry(r).or_default().push(pc));
     }
-    let mut param_homes: HashSet<Reg> = HashSet::new();
-    for p in &func.params {
-        match p.kind {
-            ParamKind::F(_) => {
-                param_homes.insert(Reg::F(p.reg));
-            }
-            ParamKind::I | ParamKind::B => {
-                param_homes.insert(Reg::I(p.reg));
-            }
-            _ => {}
-        }
-    }
+    let param_homes: HashSet<Reg> = func.params.iter().map(ParamSpec::home).collect();
     let named_f: HashSet<u32> = func.fvar_names.iter().map(|(r, _)| *r).collect();
 
     let guard = synthesize_guard(func, cfg, lp);
@@ -824,11 +595,9 @@ fn plan_loop(
     // source (so "the loop runs one iteration" implies "the original
     // instruction ran").
     let mut exit_sources: Vec<usize> = Vec::new();
-    let mut out = [None, None];
     for &b in &lp.blocks {
         let blk = &cfg.blocks[b];
-        let last = blk.range.end - 1;
-        if !successors(&func.instrs[last], last, &mut out) {
+        if func.instrs[blk.range.end - 1].is_exit() {
             exit_sources.push(b); // returns straight out of the loop
             continue;
         }
@@ -840,7 +609,6 @@ fn plan_loop(
     let mut next_freg = func.n_fregs;
     let mut next_ireg = func.n_iregs;
     let mut hoists: Vec<Hoist> = Vec::new();
-    let mut hoisted_dsts: HashSet<Reg> = HashSet::new();
 
     for &b in &lp.blocks {
         let blk = &cfg.blocks[b];
@@ -850,14 +618,14 @@ fn plan_loop(
                 Some(c) => c,
                 None => continue,
             };
-            let dst = match write_of(ins) {
+            let dst = match ins.write() {
                 Some(d) => d,
                 None => continue,
             };
             // Operands must be loop-invariant (and untouched by hoists
             // already planned this round, which count as loop writes).
             let mut invariant = true;
-            for_each_read(ins, |r| {
+            ins.reads(|r| {
                 if loop_writes.contains_key(&r) {
                     invariant = false;
                 }
@@ -906,10 +674,8 @@ fn plan_loop(
                         ins: ins.clone(),
                         rewrites: Vec::new(),
                     });
-                    hoisted_dsts.insert(dst);
-                    // Its dst now counts as written outside the loop
-                    // only; later candidates reading it must wait for
-                    // the next round.
+                    // Its dst still counts as a loop write: later
+                    // candidates reading it wait for the next round.
                     continue;
                 }
             }
@@ -920,17 +686,15 @@ fn plan_loop(
             if param_homes.contains(&dst) {
                 continue;
             }
-            if let Reg::F(d) = dst {
-                if named_f.contains(&d) {
-                    continue;
-                }
+            if dst.0 == RegClass::F && named_f.contains(&dst.1) {
+                continue;
             }
             // Window: (pc, next write of dst in this block]. The def
             // must not escape the block unless overwritten first.
             let mut window_end = blk.range.end;
             let mut closed_by_write = false;
             for w in pc + 1..blk.range.end {
-                if write_of(&func.instrs[w]) == Some(dst) {
+                if func.instrs[w].write() == Some(dst) {
                     window_end = w + 1; // its reads still see the old def
                     closed_by_write = true;
                     break;
@@ -955,49 +719,31 @@ fn plan_loop(
                 .collect();
             // The packed `FMulAdd` word holds its addend in 8 bits: never
             // rename an addend to a register beyond that field.
-            if let Reg::F(d) = dst {
-                if u8::try_from(next_freg).is_err()
-                    && rewrite_sites
-                        .iter()
-                        .any(|&u| matches!(func.instrs[u], Instr::FMulAdd { c, .. } if c.0 == d))
-                {
-                    continue;
-                }
+            if dst.0 == RegClass::F
+                && u8::try_from(next_freg).is_err()
+                && rewrite_sites
+                    .iter()
+                    .any(|&u| matches!(func.instrs[u], Instr::FMulAdd { c, .. } if c.0 == dst.1))
+            {
+                continue;
             }
-            let fresh = match dst {
-                Reg::F(_) => {
-                    let r = next_freg;
-                    next_freg += 1;
-                    Reg::F(r)
-                }
-                Reg::I(_) => {
-                    let r = next_ireg;
-                    next_ireg += 1;
-                    Reg::I(r)
-                }
+            let next = if dst.0 == RegClass::F {
+                &mut next_freg
+            } else {
+                &mut next_ireg
             };
-            let mut renamed = ins.clone();
-            visit_regs_mut(&mut renamed, &mut |class, idx, is_write| {
-                if is_write {
-                    match (fresh, class) {
-                        (Reg::F(nr), RegClass::F) | (Reg::I(nr), RegClass::I) => *idx = nr,
-                        _ => {}
-                    }
-                }
-            });
-            let fresh_idx = match fresh {
-                Reg::F(i) | Reg::I(i) => i,
-            };
+            let fresh = (dst.0, *next);
+            *next += 1;
+            let renamed = ins.with_write(fresh).expect("a candidate writes `dst`");
             let rewrites: Vec<(usize, Reg, u32)> = rewrite_sites
                 .into_iter()
-                .map(|u| (u, dst, fresh_idx))
+                .map(|u| (u, dst, fresh.1))
                 .collect();
             hoists.push(Hoist {
                 pc,
                 ins: renamed,
                 rewrites,
             });
-            hoisted_dsts.insert(fresh);
         }
     }
 
@@ -1068,19 +814,17 @@ fn apply_plan(
         if old_pc == h {
             if let Some((g, g_pc)) = &guard {
                 let mut g = g.clone();
-                *target_mut(&mut g).unwrap() = (pre + k) as u32;
+                *g.target_mut().unwrap() = (pre + k) as u32;
                 instrs.push(g);
                 spans.push(func.spans[*g_pc]);
             }
             for hs in &hoists {
-                let mut reg_hi = |class: RegClass, idx: &mut u32, _w: bool| match class {
-                    RegClass::F => max_f = max_f.max(*idx + 1),
-                    RegClass::I => max_i = max_i.max(*idx + 1),
+                hs.ins.regs(|(class, idx), _| match class {
+                    RegClass::F => max_f = max_f.max(idx + 1),
+                    RegClass::I => max_i = max_i.max(idx + 1),
                     RegClass::A => {}
-                };
-                let mut ins = hs.ins.clone();
-                visit_regs_mut(&mut ins, &mut reg_hi);
-                instrs.push(ins);
+                });
+                instrs.push(hs.ins.clone());
                 spans.push(func.spans[hs.pc]);
             }
         }
@@ -1089,21 +833,18 @@ fn apply_plan(
         }
         let mut ins = func.instrs[old_pc].clone();
         if let Some(rw) = rewrites.get(&old_pc) {
-            visit_regs_mut(&mut ins, &mut |class, idx, is_write| {
+            ins.regs_mut(|class, idx, is_write| {
                 if is_write {
                     return;
                 }
                 for &(old, new) in rw {
-                    match (old, class) {
-                        (Reg::F(o), RegClass::F) | (Reg::I(o), RegClass::I) if *idx == o => {
-                            *idx = new;
-                        }
-                        _ => {}
+                    if old == (class, *idx) {
+                        *idx = new;
                     }
                 }
             });
         }
-        if let Some(t) = target_mut(&mut ins) {
+        if let Some(t) = ins.target_mut() {
             *t = remap_target(*t as usize, old_pc) as u32;
         }
         instrs.push(ins);
@@ -1124,76 +865,45 @@ fn apply_plan(
 /// variable (names are kept so shadow attribution and trap naming are
 /// unchanged). Returns the number of slots eliminated.
 fn compact_registers(func: &mut CompiledFunction) -> u32 {
-    let mut f_used = vec![false; func.n_fregs as usize];
-    let mut i_used = vec![false; func.n_iregs as usize];
-    let mut a_used = vec![false; func.n_aregs as usize];
-    let mut mark = |class: RegClass, idx: &mut u32, _w: bool| {
-        let i = *idx as usize;
-        match class {
-            RegClass::F => f_used[i] = true,
-            RegClass::I => i_used[i] = true,
-            RegClass::A => a_used[i] = true,
-        }
-    };
-    for ins in &mut func.instrs {
-        visit_regs_mut(ins, &mut mark);
+    const CLASSES: [RegClass; 3] = [RegClass::F, RegClass::I, RegClass::A];
+    let mut used = CLASSES.map(|c| vec![false; func.reg_count(c) as usize]);
+    for ins in &func.instrs {
+        ins.regs(|(class, idx), _| used[class as usize][idx as usize] = true);
     }
-    for p in &func.params {
-        match p.kind {
-            ParamKind::F(_) => f_used[p.reg as usize] = true,
-            ParamKind::I | ParamKind::B => i_used[p.reg as usize] = true,
-            ParamKind::FArr(_) | ParamKind::IArr => a_used[p.reg as usize] = true,
-        }
+    let names = func.fvar_names.iter().map(|(r, _)| (RegClass::F, *r));
+    let names = names.chain(func.avar_names.iter().map(|(r, _)| (RegClass::A, *r)));
+    for (class, idx) in func.params.iter().map(ParamSpec::home).chain(names) {
+        used[class as usize][idx as usize] = true;
     }
-    for (r, _) in &func.fvar_names {
-        f_used[*r as usize] = true;
-    }
-    for (r, _) in &func.avar_names {
-        a_used[*r as usize] = true;
-    }
-    let dense = |used: &[bool]| -> (Vec<u32>, u32) {
+    // Dense renumbering of each file: old index → new (u32::MAX if dropped).
+    let maps = used.map(|used| {
         let mut map = vec![u32::MAX; used.len()];
         let mut next = 0u32;
-        for (i, &u) in used.iter().enumerate() {
-            if u {
-                map[i] = next;
-                next += 1;
-            }
+        for (i, _) in used.iter().enumerate().filter(|(_, &u)| u) {
+            map[i] = next;
+            next += 1;
         }
         (map, next)
-    };
-    let (f_map, nf) = dense(&f_used);
-    let (i_map, ni) = dense(&i_used);
-    let (a_map, na) = dense(&a_used);
-    let saved = (func.n_fregs - nf) + (func.n_iregs - ni) + (func.n_aregs - na);
+    });
+    let old = func.n_fregs + func.n_iregs + func.n_aregs;
+    let saved = old - maps.iter().map(|(_, n)| n).sum::<u32>();
     if saved == 0 {
         return 0;
     }
+    let new = |(class, idx): Reg| maps[class as usize].0[idx as usize];
     for ins in &mut func.instrs {
-        visit_regs_mut(ins, &mut |class, idx, _w| {
-            *idx = match class {
-                RegClass::F => f_map[*idx as usize],
-                RegClass::I => i_map[*idx as usize],
-                RegClass::A => a_map[*idx as usize],
-            };
-        });
+        ins.regs_mut(|class, idx, _| *idx = new((class, *idx)));
     }
     for p in &mut func.params {
-        p.reg = match p.kind {
-            ParamKind::F(_) => f_map[p.reg as usize],
-            ParamKind::I | ParamKind::B => i_map[p.reg as usize],
-            ParamKind::FArr(_) | ParamKind::IArr => a_map[p.reg as usize],
-        };
+        p.reg = new(p.home());
     }
     for (r, _) in &mut func.fvar_names {
-        *r = f_map[*r as usize];
+        *r = new((RegClass::F, *r));
     }
     for (r, _) in &mut func.avar_names {
-        *r = a_map[*r as usize];
+        *r = new((RegClass::A, *r));
     }
-    func.n_fregs = nf;
-    func.n_iregs = ni;
-    func.n_aregs = na;
+    [func.n_fregs, func.n_iregs, func.n_aregs] = CLASSES.map(|c| maps[c as usize].1);
     saved
 }
 
@@ -1315,7 +1025,7 @@ pub fn dump(func: &CompiledFunction) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{CmpOp, IReg, ParamSpec, RetKind};
+    use crate::bytecode::{CmpOp, IReg, ParamKind, RetKind};
     use crate::value::ArgValue;
     use chef_ir::span::Span;
 

@@ -289,12 +289,7 @@ impl<'a> Compiler<'a> {
     }
 
     fn patch_jump(&mut self, at: usize, target: u32) {
-        match &mut self.instrs[at] {
-            Instr::Jmp { target: t }
-            | Instr::JmpIfFalse { target: t, .. }
-            | Instr::JmpIfTrue { target: t, .. } => *t = target,
-            other => panic!("patching non-jump {other:?}"),
-        }
+        *self.instrs[at].target_mut().expect("patching a non-jump") = target;
     }
 
     fn temp_f(&mut self) -> FReg {

@@ -1,7 +1,7 @@
 //! Peephole bytecode fusion: collapses the hot multi-instruction idioms
 //! the compiler emits into single superinstructions.
 //!
-//! The pass runs after codegen (wired into [`crate::compile`] behind
+//! The pass runs after codegen (wired into [`mod@crate::compile`] behind
 //! [`crate::compile::CompileOptions::fuse`], on by default) and rewrites
 //! windows of adjacent instructions:
 //!
@@ -32,10 +32,15 @@
 //!   enter the middle of a fused sequence;
 //! * the eliminated temporary is either overwritten by the window's own
 //!   final instruction, or **dead after the window**: a reachability
-//!   query over the bytecode CFG ([`Analysis::dead_after`]) proves every
+//!   query over the bytecode CFG (`Analysis::dead_after`) proves every
 //!   path re-writes the register before reading it (parameter registers
 //!   are additionally considered read at every function exit, because
 //!   call teardown copies them back to the caller).
+//!
+//! The pass knows no operand layout of its own: reads, writes, the
+//! destination rewrite of copy elimination, successors and jump targets
+//! all come from the operand table in [`crate::bytecode`], which the
+//! CFG tier ([`crate::cfg`]) and the validator share.
 
 use crate::bytecode::*;
 
@@ -98,217 +103,9 @@ impl std::ops::AddAssign for FuseStats {
     }
 }
 
-/// A register in one of the two scalar files.
-///
-/// Shared with [`crate::cfg`], which reuses the fuser's read/write/successor
-/// analyses for its block-level dataflow.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum Reg {
-    F(u32),
-    I(u32),
-}
-
-/// Calls `visit` for every scalar register the instruction reads.
-pub(crate) fn for_each_read(ins: &Instr, mut visit: impl FnMut(Reg)) {
-    macro_rules! fr {
-        ($r:expr) => {
-            visit(Reg::F($r.0))
-        };
-    }
-    macro_rules! ir {
-        ($r:expr) => {
-            visit(Reg::I($r.0))
-        };
-    }
-    match ins {
-        Instr::FConst { .. }
-        | Instr::IConst { .. }
-        | Instr::Jmp { .. }
-        | Instr::TPopF { .. }
-        | Instr::TPopI { .. }
-        | Instr::RetVoid
-        | Instr::TrapMissingReturn => {}
-        Instr::FMov { src, .. }
-        | Instr::FNeg { src, .. }
-        | Instr::FRound { src, .. }
-        | Instr::F2I { src, .. }
-        | Instr::TPushF { src } => fr!(*src),
-        Instr::FIntr1 { a, .. }
-        | Instr::FIntr1Round { a, .. }
-        | Instr::FAddC { a, .. }
-        | Instr::FSubC { a, .. }
-        | Instr::FSubCR { a, .. }
-        | Instr::FMulC { a, .. }
-        | Instr::FDivC { a, .. }
-        | Instr::FDivCR { a, .. } => fr!(*a),
-        Instr::FAdd { a, b, .. }
-        | Instr::FSub { a, b, .. }
-        | Instr::FMul { a, b, .. }
-        | Instr::FDiv { a, b, .. }
-        | Instr::FIntr2 { a, b, .. }
-        | Instr::FIntr2Round { a, b, .. }
-        | Instr::FCmp { a, b, .. }
-        | Instr::FAddRound { a, b, .. }
-        | Instr::FSubRound { a, b, .. }
-        | Instr::FMulRound { a, b, .. }
-        | Instr::FDivRound { a, b, .. }
-        | Instr::FCmpJmpFalse { a, b, .. }
-        | Instr::FCmpJmpTrue { a, b, .. } => {
-            fr!(*a);
-            fr!(*b);
-        }
-        Instr::FMulAdd { a, b, c, .. } => {
-            fr!(*a);
-            fr!(*b);
-            fr!(*c);
-        }
-        Instr::FLoad { idx, .. } => ir!(idx),
-        Instr::FStore { idx, src, .. } => {
-            ir!(idx);
-            fr!(*src);
-        }
-        Instr::FLoadOff { base, .. } => ir!(base),
-        Instr::FStoreOff { base, src, .. } => {
-            ir!(base);
-            fr!(*src);
-        }
-        Instr::I2F { src, .. }
-        | Instr::IMov { src, .. }
-        | Instr::INeg { src, .. }
-        | Instr::BNot { src, .. }
-        | Instr::TPushI { src } => ir!(src),
-        Instr::IAdd { a, b, .. }
-        | Instr::ISub { a, b, .. }
-        | Instr::IMul { a, b, .. }
-        | Instr::IDiv { a, b, .. }
-        | Instr::IRem { a, b, .. }
-        | Instr::ICmp { a, b, .. }
-        | Instr::ICmpJmpFalse { a, b, .. }
-        | Instr::ICmpJmpTrue { a, b, .. } => {
-            ir!(a);
-            ir!(b);
-        }
-        Instr::IAddImm { a, .. }
-        | Instr::ICmpImmJmpFalse { a, .. }
-        | Instr::ICmpImmJmpTrue { a, .. } => ir!(a),
-        Instr::ILoad { idx, .. } => ir!(idx),
-        Instr::IStore { idx, src, .. } => {
-            ir!(idx);
-            ir!(src);
-        }
-        Instr::JmpIfFalse { cond, .. } | Instr::JmpIfTrue { cond, .. } => ir!(cond),
-        Instr::AllocF { len, .. } | Instr::AllocI { len, .. } => ir!(len),
-        Instr::RetF { src } => fr!(*src),
-        Instr::RetI { src } | Instr::RetB { src } => ir!(src),
-    }
-}
-
-/// The scalar register the instruction writes, if any.
-pub(crate) fn write_of(ins: &Instr) -> Option<Reg> {
-    match ins {
-        Instr::FConst { dst, .. }
-        | Instr::FMov { dst, .. }
-        | Instr::FAdd { dst, .. }
-        | Instr::FSub { dst, .. }
-        | Instr::FMul { dst, .. }
-        | Instr::FDiv { dst, .. }
-        | Instr::FNeg { dst, .. }
-        | Instr::FRound { dst, .. }
-        | Instr::FIntr1 { dst, .. }
-        | Instr::FIntr2 { dst, .. }
-        | Instr::FIntr1Round { dst, .. }
-        | Instr::FIntr2Round { dst, .. }
-        | Instr::FLoad { dst, .. }
-        | Instr::I2F { dst, .. }
-        | Instr::TPopF { dst }
-        | Instr::FMulAdd { dst, .. }
-        | Instr::FAddRound { dst, .. }
-        | Instr::FSubRound { dst, .. }
-        | Instr::FMulRound { dst, .. }
-        | Instr::FDivRound { dst, .. }
-        | Instr::FAddC { dst, .. }
-        | Instr::FSubC { dst, .. }
-        | Instr::FSubCR { dst, .. }
-        | Instr::FMulC { dst, .. }
-        | Instr::FDivC { dst, .. }
-        | Instr::FDivCR { dst, .. }
-        | Instr::FLoadOff { dst, .. } => Some(Reg::F(dst.0)),
-        Instr::FCmp { dst, .. }
-        | Instr::F2I { dst, .. }
-        | Instr::IConst { dst, .. }
-        | Instr::IMov { dst, .. }
-        | Instr::IAdd { dst, .. }
-        | Instr::ISub { dst, .. }
-        | Instr::IMul { dst, .. }
-        | Instr::IDiv { dst, .. }
-        | Instr::IRem { dst, .. }
-        | Instr::INeg { dst, .. }
-        | Instr::ICmp { dst, .. }
-        | Instr::ILoad { dst, .. }
-        | Instr::BNot { dst, .. }
-        | Instr::TPopI { dst }
-        | Instr::IAddImm { dst, .. } => Some(Reg::I(dst.0)),
-        Instr::FStore { .. }
-        | Instr::FStoreOff { .. }
-        | Instr::IStore { .. }
-        | Instr::Jmp { .. }
-        | Instr::JmpIfFalse { .. }
-        | Instr::JmpIfTrue { .. }
-        | Instr::FCmpJmpFalse { .. }
-        | Instr::FCmpJmpTrue { .. }
-        | Instr::ICmpJmpFalse { .. }
-        | Instr::ICmpJmpTrue { .. }
-        | Instr::ICmpImmJmpFalse { .. }
-        | Instr::ICmpImmJmpTrue { .. }
-        | Instr::TPushF { .. }
-        | Instr::TPushI { .. }
-        | Instr::AllocF { .. }
-        | Instr::AllocI { .. }
-        | Instr::RetF { .. }
-        | Instr::RetI { .. }
-        | Instr::RetB { .. }
-        | Instr::RetVoid
-        | Instr::TrapMissingReturn => None,
-    }
-}
-
-/// Successor program points of the instruction at `pc`; `None` marks a
-/// function exit (return or fall-off-the-end).
-pub(crate) fn successors(ins: &Instr, pc: usize, out: &mut [Option<usize>; 2]) -> bool {
-    // Returns `false` when the instruction exits the function.
-    *out = [None, None];
-    match ins {
-        Instr::Jmp { target } => {
-            out[0] = Some(*target as usize);
-            true
-        }
-        Instr::JmpIfFalse { target, .. }
-        | Instr::JmpIfTrue { target, .. }
-        | Instr::FCmpJmpFalse { target, .. }
-        | Instr::FCmpJmpTrue { target, .. }
-        | Instr::ICmpJmpFalse { target, .. }
-        | Instr::ICmpJmpTrue { target, .. }
-        | Instr::ICmpImmJmpFalse { target, .. }
-        | Instr::ICmpImmJmpTrue { target, .. } => {
-            out[0] = Some(*target as usize);
-            out[1] = Some(pc + 1);
-            true
-        }
-        Instr::RetF { .. }
-        | Instr::RetI { .. }
-        | Instr::RetB { .. }
-        | Instr::RetVoid
-        | Instr::TrapMissingReturn => false,
-        _ => {
-            out[0] = Some(pc + 1);
-            true
-        }
-    }
-}
-
 struct Analysis {
-    f_param: Vec<bool>,
-    i_param: Vec<bool>,
+    /// Parameter home registers: read at every function exit.
+    params: Vec<Reg>,
     is_target: Vec<bool>,
     /// Scratch for [`Analysis::dead_after`] (reused across queries).
     visited: std::cell::RefCell<Vec<bool>>,
@@ -316,44 +113,16 @@ struct Analysis {
 
 impl Analysis {
     fn of(func: &CompiledFunction) -> Self {
-        let mut a = Analysis {
-            f_param: vec![false; func.n_fregs as usize],
-            i_param: vec![false; func.n_iregs as usize],
-            is_target: vec![false; func.instrs.len() + 1],
+        let mut is_target = vec![false; func.instrs.len() + 1];
+        for t in func.instrs.iter().filter_map(Instr::target) {
+            if let Some(t) = is_target.get_mut(t as usize) {
+                *t = true;
+            }
+        }
+        Analysis {
+            params: func.params.iter().map(ParamSpec::home).collect(),
+            is_target,
             visited: std::cell::RefCell::new(vec![false; func.instrs.len()]),
-        };
-        for ins in &func.instrs {
-            match ins {
-                Instr::Jmp { target }
-                | Instr::JmpIfFalse { target, .. }
-                | Instr::JmpIfTrue { target, .. }
-                | Instr::FCmpJmpFalse { target, .. }
-                | Instr::FCmpJmpTrue { target, .. }
-                | Instr::ICmpJmpFalse { target, .. }
-                | Instr::ICmpJmpTrue { target, .. }
-                | Instr::ICmpImmJmpFalse { target, .. }
-                | Instr::ICmpImmJmpTrue { target, .. } => {
-                    if let Some(t) = a.is_target.get_mut(*target as usize) {
-                        *t = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        for p in &func.params {
-            match p.kind {
-                ParamKind::F(_) => a.f_param[p.reg as usize] = true,
-                ParamKind::I | ParamKind::B => a.i_param[p.reg as usize] = true,
-                ParamKind::FArr(_) | ParamKind::IArr => {}
-            }
-        }
-        a
-    }
-
-    fn is_param(&self, reg: Reg) -> bool {
-        match reg {
-            Reg::F(r) => self.f_param.get(r as usize).copied().unwrap_or(false),
-            Reg::I(r) => self.i_param.get(r as usize).copied().unwrap_or(false),
         }
     }
 
@@ -370,7 +139,7 @@ impl Analysis {
         let mut visited = self.visited.borrow_mut();
         visited.iter_mut().for_each(|v| *v = false);
         let mut stack: Vec<usize> = Vec::with_capacity(8);
-        let exit_reads = self.is_param(reg);
+        let exit_reads = self.params.contains(&reg);
         for &s in starts {
             if s >= instrs.len() {
                 if exit_reads {
@@ -387,18 +156,17 @@ impl Analysis {
             visited[pc] = true;
             let ins = &instrs[pc];
             let mut read = false;
-            for_each_read(ins, |r| read |= r == reg);
+            ins.reads(|r| read |= r == reg);
             if read {
                 return false;
             }
-            if write_of(ins) == Some(reg) {
+            if ins.write() == Some(reg) {
                 continue; // overwritten: this path is safe
             }
-            let mut succ = [None, None];
-            if !successors(ins, pc, &mut succ) && exit_reads {
+            if ins.is_exit() && exit_reads {
                 return false;
             }
-            for s in succ.into_iter().flatten() {
+            for s in ins.successors(pc).into_iter().flatten() {
                 if s >= instrs.len() {
                     if exit_reads {
                         return false;
@@ -439,7 +207,7 @@ impl Rewrite {
 /// windows to the next (a constant-operand op followed by the `Mov` that
 /// stored its temp, a compare freshly adjacent to its branch, …). Every
 /// rewrite strictly shrinks the stream, so this terminates; the returned
-/// stats are the accumulated totals. This is what [`crate::compile`]
+/// stats are the accumulated totals. This is what [`crate::compile::compile`]
 /// invokes.
 pub fn fuse_to_fixpoint(func: &mut CompiledFunction) -> FuseStats {
     let mut acc = FuseStats::default();
@@ -486,19 +254,8 @@ pub fn fuse_function(func: &mut CompiledFunction) -> FuseStats {
     }
     remap[old_len] = out.len() as u32;
 
-    for ins in &mut out {
-        match ins {
-            Instr::Jmp { target }
-            | Instr::JmpIfFalse { target, .. }
-            | Instr::JmpIfTrue { target, .. }
-            | Instr::FCmpJmpFalse { target, .. }
-            | Instr::FCmpJmpTrue { target, .. }
-            | Instr::ICmpJmpFalse { target, .. }
-            | Instr::ICmpJmpTrue { target, .. }
-            | Instr::ICmpImmJmpFalse { target, .. }
-            | Instr::ICmpImmJmpTrue { target, .. } => *target = remap[*target as usize],
-            _ => {}
-        }
+    for t in out.iter_mut().filter_map(Instr::target_mut) {
+        *t = remap[*t as usize];
     }
     func.instrs = out;
     func.spans = out_spans;
@@ -529,79 +286,21 @@ fn mov_elim(
     stats: &mut FuseStats,
 ) -> Option<Rewrite> {
     let ins = func.instrs.get(pc)?;
-    let t = write_of(ins)?;
+    let t = ins.write()?;
     if analysis.is_target[pc + 1] {
         return None;
     }
     let d = match (t, func.instrs.get(pc + 1)?) {
-        (Reg::F(tr), &Instr::FMov { dst, src }) if src.0 == tr => Reg::F(dst.0),
-        (Reg::I(tr), &Instr::IMov { dst, src }) if src.0 == tr => Reg::I(dst.0),
+        ((RegClass::F, tr), &Instr::FMov { dst, src }) if src.0 == tr => (RegClass::F, dst.0),
+        ((RegClass::I, tr), &Instr::IMov { dst, src }) if src.0 == tr => (RegClass::I, dst.0),
         _ => return None,
     };
     if d == t || !analysis.dead_after(func, &[pc + 2], t) {
         return None;
     }
-    let retargeted = with_dst(ins, d)?;
+    let retargeted = ins.with_write(d)?;
     stats.mov_elim += 1;
     Rewrite::one(retargeted, 2)
-}
-
-/// The instruction with its scalar destination replaced by `d` (same
-/// register file). `None` for instructions this does not apply to.
-fn with_dst(ins: &Instr, d: Reg) -> Option<Instr> {
-    let mut out = ins.clone();
-    let new = match (&mut out, d) {
-        (Instr::FConst { dst, .. }, Reg::F(r))
-        | (Instr::FMov { dst, .. }, Reg::F(r))
-        | (Instr::FAdd { dst, .. }, Reg::F(r))
-        | (Instr::FSub { dst, .. }, Reg::F(r))
-        | (Instr::FMul { dst, .. }, Reg::F(r))
-        | (Instr::FDiv { dst, .. }, Reg::F(r))
-        | (Instr::FNeg { dst, .. }, Reg::F(r))
-        | (Instr::FRound { dst, .. }, Reg::F(r))
-        | (Instr::FIntr1 { dst, .. }, Reg::F(r))
-        | (Instr::FIntr2 { dst, .. }, Reg::F(r))
-        | (Instr::FIntr1Round { dst, .. }, Reg::F(r))
-        | (Instr::FIntr2Round { dst, .. }, Reg::F(r))
-        | (Instr::FLoad { dst, .. }, Reg::F(r))
-        | (Instr::I2F { dst, .. }, Reg::F(r))
-        | (Instr::TPopF { dst }, Reg::F(r))
-        | (Instr::FMulAdd { dst, .. }, Reg::F(r))
-        | (Instr::FAddRound { dst, .. }, Reg::F(r))
-        | (Instr::FSubRound { dst, .. }, Reg::F(r))
-        | (Instr::FMulRound { dst, .. }, Reg::F(r))
-        | (Instr::FDivRound { dst, .. }, Reg::F(r))
-        | (Instr::FAddC { dst, .. }, Reg::F(r))
-        | (Instr::FSubC { dst, .. }, Reg::F(r))
-        | (Instr::FSubCR { dst, .. }, Reg::F(r))
-        | (Instr::FMulC { dst, .. }, Reg::F(r))
-        | (Instr::FDivC { dst, .. }, Reg::F(r))
-        | (Instr::FDivCR { dst, .. }, Reg::F(r))
-        | (Instr::FLoadOff { dst, .. }, Reg::F(r)) => {
-            *dst = FReg(r);
-            true
-        }
-        (Instr::FCmp { dst, .. }, Reg::I(r))
-        | (Instr::F2I { dst, .. }, Reg::I(r))
-        | (Instr::IConst { dst, .. }, Reg::I(r))
-        | (Instr::IMov { dst, .. }, Reg::I(r))
-        | (Instr::IAdd { dst, .. }, Reg::I(r))
-        | (Instr::ISub { dst, .. }, Reg::I(r))
-        | (Instr::IMul { dst, .. }, Reg::I(r))
-        | (Instr::IDiv { dst, .. }, Reg::I(r))
-        | (Instr::IRem { dst, .. }, Reg::I(r))
-        | (Instr::INeg { dst, .. }, Reg::I(r))
-        | (Instr::ICmp { dst, .. }, Reg::I(r))
-        | (Instr::ILoad { dst, .. }, Reg::I(r))
-        | (Instr::BNot { dst, .. }, Reg::I(r))
-        | (Instr::TPopI { dst }, Reg::I(r))
-        | (Instr::IAddImm { dst, .. }, Reg::I(r)) => {
-            *dst = IReg(r);
-            true
-        }
-        _ => false,
-    };
-    new.then_some(out)
 }
 
 /// Tries the shape-specific fusion patterns anchored at `pc`.
@@ -618,8 +317,10 @@ fn match_specific(
     let free = |k: usize| !analysis.is_target[pc + k];
     // The eliminated temp is dead right after the window (which starts at
     // `pc + width`; the last window instruction here is never a branch).
-    let dead_f = |width: usize, r: FReg| analysis.dead_after(func, &[pc + width], Reg::F(r.0));
-    let dead_i = |width: usize, r: IReg| analysis.dead_after(func, &[pc + width], Reg::I(r.0));
+    let dead_f =
+        |width: usize, r: FReg| analysis.dead_after(func, &[pc + width], (RegClass::F, r.0));
+    let dead_i =
+        |width: usize, r: IReg| analysis.dead_after(func, &[pc + width], (RegClass::I, r.0));
 
     match *at(0)? {
         // IConst t ; IAdd … — address arithmetic and loop increments —
@@ -629,7 +330,7 @@ fn match_specific(
                 if !free(1) {
                     return None;
                 }
-                let base = other_operand(Reg::I(t.0), Reg::I(a.0), Reg::I(b.0))?;
+                let base = other_operand(t.0, a.0, b.0)?;
                 let base = IReg(base);
                 // 3-instruction form: the sum feeds an array access. Kept
                 // to i8 offsets so the packed encoding always fits.
@@ -700,7 +401,7 @@ fn match_specific(
             } else {
                 return None;
             };
-            if !analysis.dead_after(func, &[target as usize, pc + 2], Reg::I(t.0)) {
+            if !analysis.dead_after(func, &[target as usize, pc + 2], (RegClass::I, t.0)) {
                 return None;
             }
             stats.const_op += 1;
@@ -726,11 +427,11 @@ fn match_specific(
         Instr::FConst { dst: t, v } => {
             let (ins, dst) = match *at(1)? {
                 Instr::FAdd { dst, a: x, b: y } if free(1) => {
-                    let o = FReg(other_operand(Reg::F(t.0), Reg::F(x.0), Reg::F(y.0))?);
+                    let o = FReg(other_operand(t.0, x.0, y.0)?);
                     (Instr::FAddC { dst, a: o, k: v }, dst)
                 }
                 Instr::FMul { dst, a: x, b: y } if free(1) => {
-                    let o = FReg(other_operand(Reg::F(t.0), Reg::F(x.0), Reg::F(y.0))?);
+                    let o = FReg(other_operand(t.0, x.0, y.0)?);
                     (Instr::FMulC { dst, a: o, k: v }, dst)
                 }
                 Instr::FSub { dst, a: x, b: y } if free(1) && y == t && x != t => {
@@ -758,7 +459,7 @@ fn match_specific(
         Instr::FMul { dst: t, a, b } => {
             match *at(1)? {
                 Instr::FAdd { dst, a: x, b: y } if free(1) => {
-                    let c = FReg(other_operand(Reg::F(t.0), Reg::F(x.0), Reg::F(y.0))?);
+                    let c = FReg(other_operand(t.0, x.0, y.0)?);
                     if addend_fits(c) && (dst == t || dead_f(2, t)) {
                         stats.mul_add += 1;
                         return Rewrite::one(Instr::FMulAdd { dst, a, b, c }, 2);
@@ -776,7 +477,7 @@ fn match_specific(
                     if !free(2) {
                         return None;
                     }
-                    let c = FReg(other_operand(Reg::F(t.0), Reg::F(x.0), Reg::F(y.0))?);
+                    let c = FReg(other_operand(t.0, x.0, y.0)?);
                     if addend_fits(c) && (dst == t || dead_f(3, t)) {
                         stats.mul_add += 1;
                         return Rewrite::two(
@@ -897,7 +598,7 @@ fn match_specific(
                 }
                 _ => return None,
             };
-            if analysis.dead_after(func, &[target as usize, pc + 2], Reg::I(t.0)) {
+            if analysis.dead_after(func, &[target as usize, pc + 2], (RegClass::I, t.0)) {
                 stats.cmp_branch += 1;
                 Rewrite::one(ins, 2)
             } else {
@@ -917,7 +618,7 @@ fn match_specific(
                 }
                 _ => return None,
             };
-            if analysis.dead_after(func, &[target as usize, pc + 2], Reg::I(t.0)) {
+            if analysis.dead_after(func, &[target as usize, pc + 2], (RegClass::I, t.0)) {
                 stats.cmp_branch += 1;
                 Rewrite::one(ins, 2)
             } else {
@@ -947,15 +648,12 @@ fn addend_fits(c: FReg) -> bool {
     u8::try_from(c.0).is_ok()
 }
 
-/// When exactly one of `x`/`y` equals `t`, returns the raw index of the
-/// other operand.
-fn other_operand(t: Reg, x: Reg, y: Reg) -> Option<u32> {
-    let raw = |r: Reg| match r {
-        Reg::F(v) | Reg::I(v) => v,
-    };
+/// When exactly one of `x`/`y` equals `t` (three indices into one
+/// register file), returns the other.
+fn other_operand(t: u32, x: u32, y: u32) -> Option<u32> {
     match (x == t, y == t) {
-        (true, false) => Some(raw(y)),
-        (false, true) => Some(raw(x)),
+        (true, false) => Some(y),
+        (false, true) => Some(x),
         _ => None,
     }
 }

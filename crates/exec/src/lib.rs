@@ -26,7 +26,7 @@
 //! the engine is organized around that pattern in three layers:
 //!
 //! 1. **Bytecode fusion** ([`fuse`]): a peephole pass, run to fixpoint
-//!    by default in [`compile`], collapses the compiler's hot idioms
+//!    by default in [`mod@compile`], collapses the compiler's hot idioms
 //!    into superinstructions — `FMulAdd`, fused op+round (`FAddRound` …,
 //!    the dominant pair in demoted code), intrinsic+round, constant-offset
 //!    array access (`FLoadOff`/`FStoreOff`), add-immediate,
@@ -37,7 +37,7 @@
 //!    (separate roundings, same traps), so fusion is observationally
 //!    bit-identical; the `fusion_differential` test pins this on every
 //!    `chef-apps` kernel.
-//! 2. **CFG optimizer tier** ([`cfg`], between `fuse_to_fixpoint` and
+//! 2. **CFG optimizer tier** ([`mod@cfg`], between `fuse_to_fixpoint` and
 //!    `pack`, default-on via [`compile::CompileOptions::cfg`], env-gated
 //!    by `CHEF_EXEC_CFG=0`): real block-level compiler infrastructure —
 //!    basic-block CFG construction over the fused stream, an iterative
@@ -86,8 +86,8 @@
 //!    slots and the [`Tape`]'s buffers persist across calls —
 //!    [`vm::Machine::reset`] re-sizes without re-allocating, and
 //!    [`vm::run`]/[`vm::run_with`] route through a thread-local cached
-//!    machine. Register operands are validated once per call and then
-//!    accessed unchecked in the dispatch loop; the `max_instrs` budget
+//!    machine. Register operands are validated once per call against
+//!    the operand table and then accessed unchecked in the dispatch loop; the `max_instrs` budget
 //!    is checked at backward jumps and returns instead of on every
 //!    instruction, and the [`vm::ExecOptions::deadline`] wall clock is
 //!    probed at backward jumps only once per [`vm::DEADLINE_STRIDE`]
@@ -114,6 +114,23 @@
 //!    the decisions disagree — the primal trace is followed, the split
 //!    is reported, and consumers treat divergent measurements as
 //!    untrusted.
+//!
+//! ## The operand table
+//!
+//! Which registers each opcode reads and writes, and where it jumps, is
+//! written out once, next to [`bytecode::Instr`]: a crate-private
+//! visitor over every register operand (file, index, read or write) and
+//! one jump-target accessor. Everything else derives from that pair:
+//! fusion's read/write/dead-after dataflow and its jump remapping, the
+//! CFG tier's block leaders, liveness, LICM renaming and register
+//! compaction, the compiler's jump patching, and the bounds proof in
+//! [`vm::validate_function`] that makes unchecked dispatch sound
+//! (every operand the table yields is below its file size, every jump
+//! target ≤ the instruction count). A new opcode gets its operands
+//! listed once; a unit test fails to compile until it also has a sample
+//! and checks that the validator rejects each of its operands out of
+//! range. Parameters map to their home register through one helper
+//! beside the table as well.
 //!
 //! ## Trap model & fault injection
 //!

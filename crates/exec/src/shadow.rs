@@ -654,9 +654,12 @@ pub(crate) fn dispatch<S: ShadowNum>(
 /// rebuilds the per-instruction count at the split (`at_instr`).
 ///
 /// SAFETY of the unchecked accesses: [`entry_code`] proved (a) every enum
-/// operand in range and (b) every packed word decodes to its enum
-/// instruction, so the fields extracted here are exactly the validated
-/// operands; pool indices were bounds-checked by the decode; jump targets
+/// operand in range — `validate_function` walks the operand table
+/// (`Instr::regs_mut`/`Instr::target_mut` in `bytecode.rs`), which lists
+/// every register operand of every opcode, and checks each against its
+/// file size and each jump target against the length — and (b) every
+/// packed word decodes to its enum instruction, so the fields extracted
+/// here are exactly the validated operands; pool indices were bounds-checked by the decode; jump targets
 /// are ≤ `words.len()` and the fetch breaks at `len`. The shadow files
 /// are sized to the same register counts by [`Lane::reset`], and
 /// `samples` to the instruction count.

@@ -640,7 +640,7 @@ impl DiskStore {
     /// file in the same directory, `sync_all`, then rename over the
     /// final name. A crash at any point leaves either no entry, the old
     /// entry, or the complete new entry — never a torn file under a
-    /// `.cfn` name (leftover `*.tmp` files are ignored by [`load`] and
+    /// `.cfn` name (leftover `*.tmp` files are ignored by [`DiskStore::load`] and
     /// overwritten harmlessly). Returns `false` (without touching the
     /// store) for unpackable functions or on any I/O failure.
     pub fn store(&self, key: &ContentKey, func: &CompiledFunction) -> bool {

@@ -838,182 +838,24 @@ impl Machine {
 
 /// Checks that every register operand and jump target of `func` is within
 /// the declared files, making the dispatch loop's unchecked register
-/// accesses sound. O(instruction count); negligible next to execution.
+/// accesses sound: each operand the operand table (`Instr::regs_mut`)
+/// yields is below its file size, each jump target is at most the
+/// instruction count, and each parameter's home register is in range.
+/// O(instruction count); negligible next to execution.
 pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
-    let nf = func.n_fregs;
-    let ni = func.n_iregs;
-    let na = func.n_aregs;
     let len = func.instrs.len() as u32;
-    let ok = std::cell::Cell::new(true);
-    let cf = |r: FReg| ok.set(ok.get() && r.0 < nf);
-    let ci = |r: IReg| ok.set(ok.get() && r.0 < ni);
-    let ca = |r: AReg| ok.set(ok.get() && r.0 < na);
-    macro_rules! ct {
-        ($t:expr) => {
-            ok.set(ok.get() && *$t <= len)
-        };
-    }
     for ins in &func.instrs {
-        match ins {
-            Instr::FConst { dst, .. } => cf(*dst),
-            Instr::FMov { dst, src } | Instr::FNeg { dst, src } => {
-                cf(*dst);
-                cf(*src);
-            }
-            Instr::FRound { dst, src, .. } => {
-                cf(*dst);
-                cf(*src);
-            }
-            Instr::FAdd { dst, a, b }
-            | Instr::FSub { dst, a, b }
-            | Instr::FMul { dst, a, b }
-            | Instr::FDiv { dst, a, b } => {
-                cf(*dst);
-                cf(*a);
-                cf(*b);
-            }
-            Instr::FIntr1 { dst, a, .. } => {
-                cf(*dst);
-                cf(*a);
-            }
-            Instr::FIntr2 { dst, a, b, .. } | Instr::FIntr2Round { dst, a, b, .. } => {
-                cf(*dst);
-                cf(*a);
-                cf(*b);
-            }
-            Instr::FIntr1Round { dst, a, .. } => {
-                cf(*dst);
-                cf(*a);
-            }
-            Instr::FCmp { dst, a, b, .. } => {
-                ci(*dst);
-                cf(*a);
-                cf(*b);
-            }
-            Instr::FLoad { dst, arr, idx } => {
-                cf(*dst);
-                ca(*arr);
-                ci(*idx);
-            }
-            Instr::FStore { arr, idx, src } => {
-                ca(*arr);
-                ci(*idx);
-                cf(*src);
-            }
-            Instr::F2I { dst, src } => {
-                ci(*dst);
-                cf(*src);
-            }
-            Instr::I2F { dst, src } => {
-                cf(*dst);
-                ci(*src);
-            }
-            Instr::IConst { dst, .. } => ci(*dst),
-            Instr::IMov { dst, src } | Instr::INeg { dst, src } | Instr::BNot { dst, src } => {
-                ci(*dst);
-                ci(*src);
-            }
-            Instr::IAdd { dst, a, b }
-            | Instr::ISub { dst, a, b }
-            | Instr::IMul { dst, a, b }
-            | Instr::IDiv { dst, a, b }
-            | Instr::IRem { dst, a, b }
-            | Instr::ICmp { dst, a, b, .. } => {
-                ci(*dst);
-                ci(*a);
-                ci(*b);
-            }
-            Instr::ILoad { dst, arr, idx } => {
-                ci(*dst);
-                ca(*arr);
-                ci(*idx);
-            }
-            Instr::IStore { arr, idx, src } => {
-                ca(*arr);
-                ci(*idx);
-                ci(*src);
-            }
-            Instr::Jmp { target } => ct!(target),
-            Instr::JmpIfFalse { cond, target } | Instr::JmpIfTrue { cond, target } => {
-                ci(*cond);
-                ct!(target);
-            }
-            Instr::TPushF { src } => cf(*src),
-            Instr::TPopF { dst } => cf(*dst),
-            Instr::TPushI { src } => ci(*src),
-            Instr::TPopI { dst } => ci(*dst),
-            Instr::AllocF { arr, len } | Instr::AllocI { arr, len } => {
-                ca(*arr);
-                ci(*len);
-            }
-            Instr::RetF { src } => cf(*src),
-            Instr::RetI { src } | Instr::RetB { src } => ci(*src),
-            Instr::RetVoid | Instr::TrapMissingReturn => {}
-            Instr::FMulAdd { dst, a, b, c } => {
-                cf(*dst);
-                cf(*a);
-                cf(*b);
-                cf(*c);
-            }
-            Instr::FAddRound { dst, a, b, .. }
-            | Instr::FSubRound { dst, a, b, .. }
-            | Instr::FMulRound { dst, a, b, .. }
-            | Instr::FDivRound { dst, a, b, .. } => {
-                cf(*dst);
-                cf(*a);
-                cf(*b);
-            }
-            Instr::FAddC { dst, a, .. }
-            | Instr::FSubC { dst, a, .. }
-            | Instr::FSubCR { dst, a, .. }
-            | Instr::FMulC { dst, a, .. }
-            | Instr::FDivC { dst, a, .. }
-            | Instr::FDivCR { dst, a, .. } => {
-                cf(*dst);
-                cf(*a);
-            }
-            Instr::ICmpImmJmpFalse { a, target, .. } | Instr::ICmpImmJmpTrue { a, target, .. } => {
-                ci(*a);
-                ct!(target);
-            }
-            Instr::FLoadOff { dst, arr, base, .. } => {
-                cf(*dst);
-                ca(*arr);
-                ci(*base);
-            }
-            Instr::FStoreOff { arr, base, src, .. } => {
-                ca(*arr);
-                ci(*base);
-                cf(*src);
-            }
-            Instr::IAddImm { dst, a, .. } => {
-                ci(*dst);
-                ci(*a);
-            }
-            Instr::FCmpJmpFalse { a, b, target, .. } | Instr::FCmpJmpTrue { a, b, target, .. } => {
-                cf(*a);
-                cf(*b);
-                ct!(target);
-            }
-            Instr::ICmpJmpFalse { a, b, target, .. } | Instr::ICmpJmpTrue { a, b, target, .. } => {
-                ci(*a);
-                ci(*b);
-                ct!(target);
-            }
-        }
-        if !ok.get() {
+        let mut ok = ins.target().is_none_or(|t| t <= len);
+        ins.regs(|(class, idx), _| ok &= idx < func.reg_count(class));
+        if !ok {
             return Err(format!(
-                "instruction references out-of-range register: {ins:?}"
+                "instruction references out-of-range register or target: {ins:?}"
             ));
         }
     }
     for p in &func.params {
-        let in_range = match p.kind {
-            ParamKind::F(_) => p.reg < nf,
-            ParamKind::I | ParamKind::B => p.reg < ni,
-            ParamKind::FArr(_) | ParamKind::IArr => p.reg < na,
-        };
-        if !in_range {
+        let (class, reg) = p.home();
+        if reg >= func.reg_count(class) {
             return Err(format!(
                 "parameter `{}` binds out-of-range register",
                 p.name
@@ -1722,5 +1564,51 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn validator_rejects_every_out_of_range_operand() {
+        // Every sample uses registers below 4 and target 1 in a two-
+        // instruction function, so 4 is the first out-of-range register
+        // and 3 the first out-of-range target (2 = fall off the end).
+        let func = |ins: Instr| CompiledFunction {
+            name: "v".into(),
+            instrs: vec![ins, Instr::RetVoid],
+            spans: vec![Span::DUMMY; 2],
+            n_fregs: 4,
+            n_iregs: 4,
+            n_aregs: 4,
+            params: vec![],
+            ret: RetKind::Void,
+            fvar_names: vec![],
+            avar_names: vec![],
+            packed: None,
+        };
+        for sample in crate::bytecode::samples() {
+            assert!(
+                validate_function(&func(sample.clone())).is_ok(),
+                "{sample:?}"
+            );
+            let mut operands = 0;
+            sample.regs(|_, _| operands += 1);
+            for k in 0..operands {
+                let mut bad = sample.clone();
+                let mut seen = 0;
+                bad.regs_mut(|_, idx, _| {
+                    if seen == k {
+                        *idx = 4;
+                    }
+                    seen += 1;
+                });
+                assert!(validate_function(&func(bad.clone())).is_err(), "{bad:?}");
+            }
+            let mut bad = sample.clone();
+            if let Some(t) = bad.target_mut() {
+                *t = 2;
+                assert!(validate_function(&func(bad.clone())).is_ok(), "{bad:?}");
+                *bad.target_mut().unwrap() = 3;
+                assert!(validate_function(&func(bad.clone())).is_err(), "{bad:?}");
+            }
+        }
     }
 }

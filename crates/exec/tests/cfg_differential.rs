@@ -511,19 +511,22 @@ proptest! {
 // ------------------------------------------------------------ golden dump
 
 /// `repro --cfg arclen` debug surface, pinned: the block/loop structure
-/// the tier sees and the ops it hoists must not drift silently.
+/// the tier sees and the ops it hoists must not drift silently. The LICM
+/// stats of every app kernel's primal are pinned alongside.
 #[test]
 fn arclen_cfg_dump_is_pinned() {
-    let func = inlined_kernel(&chef_apps::arclen::program(), chef_apps::arclen::NAME);
-    let c = compile(
-        &func,
-        &CompileOptions {
-            precisions: PrecisionMap::empty(),
-            fuse: true,
-            cfg: false,
-        },
-    )
-    .expect("arclen compiles");
+    let fused = |program: &Program, name: &str| {
+        compile(
+            &inlined_kernel(program, name),
+            &CompileOptions {
+                precisions: PrecisionMap::empty(),
+                fuse: true,
+                cfg: false,
+            },
+        )
+        .expect("kernel compiles")
+    };
+    let c = fused(&chef_apps::arclen::program(), chef_apps::arclen::NAME);
     let dump = cfg::dump(&c);
     assert_eq!(dump, GOLDEN_ARCLEN_DUMP, "\nactual dump:\n{dump}");
 
@@ -534,7 +537,27 @@ fn arclen_cfg_dump_is_pinned() {
         "\nactual hoists:\n{:#?}",
         stats.hoisted_ops
     );
+
+    let mut licm: Vec<_> = kernels()
+        .into_iter()
+        .map(|(kernel, program, name, _)| {
+            let s = cfg::optimize(&mut fused(&program, name));
+            (kernel, s.hoisted, s.guards, s.regs_compacted)
+        })
+        .collect();
+    licm.sort_unstable();
+    assert_eq!(licm, GOLDEN_LICM_STATS);
 }
+
+/// `(kernel, hoisted, guards, registers compacted)` per app primal,
+/// sorted by kernel name.
+const GOLDEN_LICM_STATS: &[(&str, u32, u32, u32)] = &[
+    ("arclen", 1, 1, 3),
+    ("blackscholes", 0, 0, 4),
+    ("hpccg", 1, 0, 1),
+    ("kmeans", 3, 0, 1),
+    ("simpsons", 3, 0, 6),
+];
 
 const GOLDEN_ARCLEN_DUMP: &str = "\
 cfg arclen: 30 instrs, 8 blocks
